@@ -7,19 +7,22 @@ Subcommands:
   pfaffian   integrate the multi-time system along a waypoint path
   spectral   print the spectral curve and numeric eigenvalue samples
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 runtime
-singularity (singular state or step-size underflow).
+Exit codes: 0 success, 1 verification failure, 2 usage error (including
+any non-finite or out-of-range number), 3 numeric failure (singular state,
+step-size underflow or non-finite state).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
 from .algebra import VarId
 from .dynamics import (
     IntegratorConfig,
+    NonFiniteState,
     Path,
     PhaseState,
     SingularState,
@@ -46,9 +49,12 @@ def _parse_floats(text: str, count: int | None = None, what: str = "value") -> l
         values = [float(item) for item in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"malformed {what} {text!r}") from exc
+    if not all(math.isfinite(value) for value in values):
+        raise UsageError(f"{what} must be finite, got {text!r}")
     if count is not None and len(values) != count:
         raise UsageError(f"expected {count} comma-separated values for {what}, got {len(values)}")
     return values
+
 
 def _parse_state(text: str) -> PhaseState:
     return PhaseState(*_parse_floats(text, 4, "state"))
@@ -173,8 +179,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     deformed = _parse_bool(args.deformed)
     k = 1 if args.flow == "t1" else 2
-    if args.duration < 0:
-        raise UsageError("duration must be nonnegative")
+    if not math.isfinite(args.duration) or args.duration < 0:
+        raise UsageError("duration must be finite and nonnegative")
     if not deformed:
         trajectory = integrate_autonomous(k, state0, args.duration, cfg)
     elif args.duration == 0:
@@ -200,6 +206,8 @@ def _cmd_pfaffian(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.alpha):
+        raise UsageError(f"alpha must be finite, got {args.alpha!r}")
     state = _parse_state(args.state)
     t = _parse_timepoint(args.t)
     lambdas = _parse_floats(args.lambdas, what="lambdas")
@@ -272,10 +280,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # The library raises ValueError for arguments it cannot accept.
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except (SingularState, StepSizeUnderflow) as exc:
+    except (SingularState, StepSizeUnderflow, NonFiniteState) as exc:
         print(f"integration aborted: {exc}", file=sys.stderr)
         return _RUNTIME_ERROR
 

@@ -8,10 +8,11 @@ diagnostics record the Hamiltonian values and eigenvalues of the Lax matrix
 at configurable spectral-parameter samples.
 
 Integrators: classic fixed-step RK4 and an adaptive Dormand-Prince 5(4)
-pair.  Right-hand sides are evaluated through the compiled kernel tables
-(see `hhlax.kernels`), with the runtime value of alpha folded exactly into
-the tables beforehand.  Every run owns its working buffers, so independent
-integrations may proceed in parallel.
+pair, both on plain 4-float tuples with the stage sums written out.
+Right-hand sides and diagnostics are the generated functions of
+`hhlax.kernels`, with the runtime value of alpha folded exactly into the
+polynomials beforehand.  A run keeps no shared mutable state, so
+independent integrations may proceed in parallel.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .algebra import LaurentPoly, VarId, substitute_numeric
 from .kernels import CompiledPolySet
 from .model import VectorField4, hamiltonian_vector_field, hamiltonians, lax_matrices
@@ -34,6 +33,7 @@ from .model import VectorField4, hamiltonian_vector_field, hamiltonians, lax_mat
 __all__ = [
     "SingularState",
     "StepSizeUnderflow",
+    "NonFiniteState",
     "PhaseState",
     "TimePoint",
     "Path",
@@ -64,19 +64,21 @@ class StepSizeUnderflow(RuntimeError):
     representable step (typically a finite-time blow-up)."""
 
 
+class NonFiniteState(RuntimeError):
+    """A step was accepted with an infinite or NaN state component
+    (a fixed step stepping through a blow-up)."""
+
+
+# (x1, x2, p1, p2), the stepper's working form of a PhaseState.
+State4 = tuple[float, float, float, float]
+
+
 @dataclass(frozen=True)
 class PhaseState:
     x1: float
     x2: float
     p1: float
     p2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.p1, self.p2], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, values: Sequence[float]) -> "PhaseState":
-        return cls(float(values[0]), float(values[1]), float(values[2]), float(values[3]))
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,9 @@ class Path:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise ValueError("a path needs at least 2 waypoints")
+        for point in self.waypoints:
+            if not (math.isfinite(point.t1) and math.isfinite(point.t2)):
+                raise ValueError(f"waypoints must be finite, got {point}")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a == b:
                 raise ValueError("consecutive waypoints must be distinct")
@@ -124,6 +129,13 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4-fixed", "rk45-adaptive"):
             raise ValueError(f"unknown method {self.method!r}")
+        # A NaN max_step never advances the stepper, and an infinite
+        # tolerance accepts any step.
+        for name in ("abs_tol", "rel_tol", "max_step", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not all(math.isfinite(lam) for lam in self.lambdas):
+            raise ValueError(f"lambdas must be finite, got {self.lambdas!r}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_step <= 0:
@@ -224,12 +236,14 @@ class Trajectory:
         stream.write("\n")
 
 
-# -- compiled right-hand sides and diagnostics --------------------------
+# -- generated right-hand sides and diagnostics ---------------------------
 
 
 def _fold_alpha(poly: LaurentPoly, alpha: float) -> LaurentPoly:
     # Fraction(float) is exact, so this loses nothing and lets alpha = 0
     # remove the singular terms entirely.
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     return poly.substitute_rational(VarId.ALPHA, Fraction(alpha))
 
 
@@ -257,9 +271,11 @@ def _det_table(deformed: bool, alpha: float) -> CompiledPolySet:
     return CompiledPolySet([_fold_alpha(lax_matrices(deformed).L.det(), alpha)])
 
 
-def _check_singular(x2: float, alpha: float, singular_terms: bool) -> None:
-    if alpha != 0.0 and singular_terms and abs(x2) <= _X2_SINGULAR_TOL:
-        raise SingularState(f"x2 = {x2!r} with alpha = {alpha!r}")
+def _initial_state(state: PhaseState) -> State4:
+    y = (float(state.x1), float(state.x2), float(state.p1), float(state.p2))
+    if not all(math.isfinite(value) for value in y):
+        raise ValueError(f"state must be finite, got {state}")
+    return y
 
 
 def flow_rhs(
@@ -267,156 +283,215 @@ def flow_rhs(
 ) -> tuple[float, float, float, float]:
     """Numeric right-hand side of flow k at (state, t).
 
-    Compiled from the symbolic Hamiltonian vector field, so it agrees with
+    Generated from the symbolic Hamiltonian vector field, so it agrees with
     the model layer by construction.
     """
     if k not in (1, 2):
         raise ValueError("flow index must be 1 or 2")
     table, singular_terms = _field_tables(deformed, k, float(alpha))
-    _check_singular(state.x2, alpha, singular_terms)
-    vals = np.array(
-        [state.x1, state.x2, state.p1, state.p2, t.t1, t.t2, 1.0, alpha],
-        dtype=np.float64,
-    )
-    out = table(vals)
-    return (float(out[0]), float(out[1]), float(out[2]), float(out[3]))
+    field = _guarded_rhs(table, singular_terms, alpha)
+    return field(state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
 
 
 # -- steppers ------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau; the last row of _DP_A equals the 5th-order
-# weights, so the final stage doubles as the first stage of the next step.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 5(4) tableau.  The last row of A equals the 5th-order
+# weights B5, so the state passed to the seventh stage is the new state and
+# that stage doubles as the first stage of the next step (FSAL).  E = B5 - B4
+# weighs the embedded error estimate; B5[1], B5[6] and E[1] are zero and
+# their terms are left out of the sums.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    35 / 384 - 5179 / 57600,
+    500 / 1113 - 7571 / 16695,
+    125 / 192 - 393 / 640,
+    -2187 / 6784 - -92097 / 339200,
+    11 / 84 - 187 / 2100,
+    0.0 - 1 / 40,
+)
+
+# rhs(s, x1, x2, p1, p2) -> (dx1, dx2, dp1, dp2)
+Rhs = Callable[[float, float, float, float, float], State4]
 
 
-def _error_norm(error: np.ndarray, y_old: np.ndarray, y_new: np.ndarray, cfg: IntegratorConfig) -> float:
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((error / scale) ** 2)))
+def _non_finite(s: float, y: State4) -> NonFiniteState:
+    return NonFiniteState(f"state {y!r} is not finite at s = {s!r}")
 
 
-def _integrate_ode(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    s_end: float,
-    y0: np.ndarray,
-    cfg: IntegratorConfig,
-) -> list[tuple[float, np.ndarray]]:
-    """Integrate dy/ds = rhs(s, y) from s = 0 to s_end >= 0.
+def _integrate_rk4(rhs: Rhs, s_end: float, y0: State4, max_step: float) -> list[tuple[float, State4]]:
+    isfinite = math.isfinite
+    n_steps = max(1, math.ceil(s_end / max_step))
+    h = s_end / n_steps
+    h2, h6 = h / 2, h / 6
+    s = 0.0
+    y1, y2, y3, y4 = y0
+    samples = [(0.0, y0)]
+    for i in range(n_steps):
+        a1, a2, a3, a4 = rhs(s, y1, y2, y3, y4)
+        b1, b2, b3, b4 = rhs(s + h2, y1 + h2 * a1, y2 + h2 * a2, y3 + h2 * a3, y4 + h2 * a4)
+        c1, c2, c3, c4 = rhs(s + h2, y1 + h2 * b1, y2 + h2 * b2, y3 + h2 * b3, y4 + h2 * b4)
+        d1, d2, d3, d4 = rhs(s + h, y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4)
+        y1 = y1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
+        y2 = y2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2)
+        y3 = y3 + h6 * (a3 + 2 * b3 + 2 * c3 + d3)
+        y4 = y4 + h6 * (a4 + 2 * b4 + 2 * c4 + d4)
+        s = s_end if i == n_steps - 1 else (i + 1) * h
+        y = (y1, y2, y3, y4)
+        if not (isfinite(y1) and isfinite(y2) and isfinite(y3) and isfinite(y4)):
+            raise _non_finite(s, y)
+        samples.append((s, y))
+    return samples
 
-    Returns the accepted samples, endpoints included.
-    """
-    samples = [(0.0, y0.copy())]
-    if s_end == 0.0:
-        return samples
-    if cfg.method == "rk4-fixed":
-        n_steps = max(1, math.ceil(s_end / cfg.max_step))
-        h = s_end / n_steps
-        s, y = 0.0, y0.copy()
-        for i in range(n_steps):
-            k1 = rhs(s, y)
-            k2 = rhs(s + h / 2, y + (h / 2) * k1)
-            k3 = rhs(s + h / 2, y + (h / 2) * k2)
-            k4 = rhs(s + h, y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            s = s_end if i == n_steps - 1 else (i + 1) * h
-            samples.append((s, y.copy()))
-        return samples
 
+def _integrate_dp45(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -> list[tuple[float, State4]]:
+    # Step-size control as in Hairer, Norsett & Wanner, Solving ODEs I,
+    # section II.4: RMS error norm with mixed absolute/relative scale,
+    # safety factor 0.9 and growth limited to [0.2, 5].
+    isfinite, sqrt = math.isfinite, math.sqrt
+    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
     h_min = _MIN_STEP_FRACTION * max(1.0, s_end)
-    s, y = 0.0, y0.copy()
-    h = min(cfg.max_step, s_end)
-    k1 = rhs(s, y)
-    stages: list[np.ndarray] = [k1] * 7
+    s = 0.0
+    y1, y2, y3, y4 = y0
+    samples = [(0.0, y0)]
+    h = min(max_step, s_end)
+    a1, a2, a3, a4 = rhs(s, y1, y2, y3, y4)
     while s < s_end:
-        h = min(h, cfg.max_step)
-        is_last = h >= s_end - s
+        h = min(h, max_step)
+        # A step that would leave less than h_min of the span becomes the
+        # last one, instead of leaving a sliver no step can cover.
+        is_last = s_end - s - h < h_min
         if is_last:
             h = s_end - s
         if h < h_min:
             raise StepSizeUnderflow(f"step {h!r} below minimum near s = {s!r}")
-        stages[0] = k1
-        for stage in range(1, 7):
-            increment = sum(
-                coeff * stages[j] for j, coeff in enumerate(_DP_A[stage]) if coeff
-            )
-            stages[stage] = rhs(s + _DP_C[stage] * h, y + h * increment)
-        y_new = y + h * sum(b * stages[j] for j, b in enumerate(_DP_B5) if b)
-        error = h * sum(e * stages[j] for j, e in enumerate(_DP_ERR) if e)
-        norm = _error_norm(error, y, y_new, cfg)
+        b1, b2, b3, b4 = rhs(
+            s + _C2 * h,
+            y1 + h * (0.0 + _A21 * a1),
+            y2 + h * (0.0 + _A21 * a2),
+            y3 + h * (0.0 + _A21 * a3),
+            y4 + h * (0.0 + _A21 * a4),
+        )
+        c1, c2, c3, c4 = rhs(
+            s + _C3 * h,
+            y1 + h * (0.0 + _A31 * a1 + _A32 * b1),
+            y2 + h * (0.0 + _A31 * a2 + _A32 * b2),
+            y3 + h * (0.0 + _A31 * a3 + _A32 * b3),
+            y4 + h * (0.0 + _A31 * a4 + _A32 * b4),
+        )
+        d1, d2, d3, d4 = rhs(
+            s + _C4 * h,
+            y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1),
+            y2 + h * (0.0 + _A41 * a2 + _A42 * b2 + _A43 * c2),
+            y3 + h * (0.0 + _A41 * a3 + _A42 * b3 + _A43 * c3),
+            y4 + h * (0.0 + _A41 * a4 + _A42 * b4 + _A43 * c4),
+        )
+        e1, e2, e3, e4 = rhs(
+            s + _C5 * h,
+            y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+            y2 + h * (0.0 + _A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+            y3 + h * (0.0 + _A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
+            y4 + h * (0.0 + _A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4),
+        )
+        f1, f2, f3, f4 = rhs(
+            s + h,
+            y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
+            y2 + h * (0.0 + _A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
+            y3 + h * (0.0 + _A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
+            y4 + h * (0.0 + _A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4),
+        )
+        n1 = y1 + h * (0.0 + _B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
+        n2 = y2 + h * (0.0 + _B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2)
+        n3 = y3 + h * (0.0 + _B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3)
+        n4 = y4 + h * (0.0 + _B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)
+        g1, g2, g3, g4 = rhs(s + h, n1, n2, n3, n4)
+        r1 = h * (0.0 + _E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1) / (
+            abs_tol + rel_tol * max(abs(y1), abs(n1))
+        )
+        r2 = h * (0.0 + _E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2) / (
+            abs_tol + rel_tol * max(abs(y2), abs(n2))
+        )
+        r3 = h * (0.0 + _E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3) / (
+            abs_tol + rel_tol * max(abs(y3), abs(n3))
+        )
+        r4 = h * (0.0 + _E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4) / (
+            abs_tol + rel_tol * max(abs(y4), abs(n4))
+        )
+        norm = sqrt((r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4) / 4)
         if norm <= 1.0:
             s = s_end if is_last else s + h
-            y = y_new
-            k1 = stages[6]  # FSAL: the last stage was evaluated at (s, y)
-            samples.append((s, y.copy()))
+            y1, y2, y3, y4 = n1, n2, n3, n4
+            if not (isfinite(y1) and isfinite(y2) and isfinite(y3) and isfinite(y4)):
+                raise _non_finite(s, (y1, y2, y3, y4))
+            a1, a2, a3, a4 = g1, g2, g3, g4  # FSAL: g was evaluated at (s, y)
+            samples.append((s, (y1, y2, y3, y4)))
             factor = 5.0 if norm == 0.0 else min(5.0, 0.9 * norm**-0.2)
         else:
-            # stages[0] still holds f(s, y); only shrink the step.
+            # a still holds f(s, y); only shrink the step.
             factor = max(0.2, 0.9 * norm**-0.2)
         h = h * factor
     return samples
+
+
+def _integrate_ode(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -> list[tuple[float, State4]]:
+    """Integrate dy/ds = rhs(s, *y) from s = 0 to s_end >= 0.
+
+    Returns the accepted samples, endpoints included.
+    """
+    if s_end == 0.0:
+        return [(0.0, y0)]
+    if cfg.method == "rk4-fixed":
+        return _integrate_rk4(rhs, s_end, y0, cfg.max_step)
+    return _integrate_dp45(rhs, s_end, y0, cfg)
 
 
 # -- public integration ---------------------------------------------------
 
 
 def _diagnose(
-    raw: list[tuple[float, float, float, np.ndarray]],
+    raw: list[tuple[float, float, float, State4]],
     deformed: bool,
     cfg: IntegratorConfig,
 ) -> Trajectory:
-    ham_table = _hamiltonian_tables(deformed, cfg.alpha)
-    det_table = _det_table(deformed, cfg.alpha)
-    vals = np.empty(8, dtype=np.float64)
-    vals[7] = cfg.alpha
+    hamiltonian = _hamiltonian_tables(deformed, cfg.alpha).evaluate
+    det = _det_table(deformed, cfg.alpha).evaluate
+    alpha, lambdas = cfg.alpha, cfg.lambdas
+    sqrt = cmath.sqrt
     samples = []
     for s, t1v, t2v, y in raw:
-        vals[0:4] = y
-        vals[4] = t1v
-        vals[5] = t2v
-        vals[6] = 1.0
-        h1v, h2v = ham_table(vals)
-        eigenvalues = []
-        for lam in cfg.lambdas:
-            vals[6] = lam
-            det = det_table(vals)[0]
-            eigenvalues.append(cmath.sqrt(complex(-det)))
-        samples.append(
-            TrajectorySample(
-                s, TimePoint(t1v, t2v), PhaseState.from_array(y), float(h1v), float(h2v),
-                tuple(eigenvalues),
-            )
+        x1, x2, p1, p2 = y
+        h1v, h2v = hamiltonian(x1, x2, p1, p2, t1v, t2v, 1.0, alpha)
+        eigenvalues = tuple(
+            sqrt(complex(-det(x1, x2, p1, p2, t1v, t2v, lam, alpha)[0])) for lam in lambdas
         )
-    return Trajectory(samples, cfg.lambdas)
+        samples.append(
+            TrajectorySample(s, TimePoint(t1v, t2v), PhaseState(x1, x2, p1, p2), h1v, h2v, eigenvalues)
+        )
+    return Trajectory(samples, lambdas)
 
 
 def _guarded_rhs(
     table: CompiledPolySet,
     singular_terms: bool,
     alpha: float,
-) -> Callable[[np.ndarray, float, float], np.ndarray]:
-    vals = np.empty(8, dtype=np.float64)
-    vals[7] = alpha
+) -> Callable[[float, float, float, float, float, float], State4]:
+    """The field as f(x1, x2, p1, p2, t1, t2), refusing the singular set."""
+    evaluate = table.evaluate
+    guarded = alpha != 0.0 and singular_terms
 
-    def evaluate(y: np.ndarray, t1v: float, t2v: float) -> np.ndarray:
-        _check_singular(y[1], alpha, singular_terms)
-        vals[0:4] = y
-        vals[4] = t1v
-        vals[5] = t2v
-        vals[6] = 1.0
-        return table(vals)
+    def field(x1: float, x2: float, p1: float, p2: float, t1v: float, t2v: float) -> State4:
+        if guarded and abs(x2) <= _X2_SINGULAR_TOL:
+            raise SingularState(f"x2 = {x2!r} with alpha = {alpha!r}")
+        return evaluate(x1, x2, p1, p2, t1v, t2v, 1.0, alpha)
 
-    return evaluate
+    return field
 
 
 def snapshot(
@@ -424,7 +499,9 @@ def snapshot(
 ) -> Trajectory:
     """Single-sample trajectory: the diagnostics of one (state, t) point."""
     cfg = cfg or IntegratorConfig()
-    return _diagnose([(0.0, t.t1, t.t2, state.as_array())], deformed, cfg)
+    if not (math.isfinite(t.t1) and math.isfinite(t.t2)):
+        raise ValueError(f"time must be finite, got {t}")
+    return _diagnose([(0.0, t.t1, t.t2, _initial_state(state))], deformed, cfg)
 
 
 def integrate_autonomous(
@@ -440,18 +517,44 @@ def integrate_autonomous(
         raise ValueError("flow index must be 1 or 2")
     if not math.isfinite(duration) or duration < 0:
         raise ValueError("duration must be finite and nonnegative")
+    y0 = _initial_state(state0)
     table, singular_terms = _field_tables(False, k, cfg.alpha)
-    evaluate = _guarded_rhs(table, singular_terms, cfg.alpha)
+    field = _guarded_rhs(table, singular_terms, cfg.alpha)
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        return evaluate(y, 0.0, 0.0)
+    def rhs(s: float, x1: float, x2: float, p1: float, p2: float) -> State4:
+        return field(x1, x2, p1, p2, 0.0, 0.0)
 
-    steps = _integrate_ode(rhs, duration, state0.as_array(), cfg)
+    steps = _integrate_ode(rhs, duration, y0, cfg)
     raw = [
         (s, s if k == 1 else 0.0, s if k == 2 else 0.0, y)
         for s, y in steps
     ]
     return _diagnose(raw, False, cfg)
+
+
+def _segment_rhs(field1, field2, start: TimePoint, w1: float, w2: float) -> Rhs:
+    """w1 * Y_1 + w2 * Y_2 along t = start + s * (w1, w2); zero weights skip their field."""
+    t1_start, t2_start = start.t1, start.t2
+
+    def rhs(s: float, x1: float, x2: float, p1: float, p2: float) -> State4:
+        t1v = t1_start + w1 * s
+        t2v = t2_start + w2 * s
+        r1 = r2 = r3 = r4 = 0.0
+        if w1:
+            f1, f2, f3, f4 = field1(x1, x2, p1, p2, t1v, t2v)
+            r1 += w1 * f1
+            r2 += w1 * f2
+            r3 += w1 * f3
+            r4 += w1 * f4
+        if w2:
+            f1, f2, f3, f4 = field2(x1, x2, p1, p2, t1v, t2v)
+            r1 += w2 * f1
+            r2 += w2 * f2
+            r3 += w2 * f3
+            r4 += w2 * f4
+        return (r1, r2, r3, r4)
+
+    return rhs
 
 
 def integrate_pfaffian(
@@ -471,30 +574,19 @@ def integrate_pfaffian(
     cfg = cfg or IntegratorConfig()
     if path.waypoints[0] != t0:
         raise ValueError("path must start at t0")
+    y = _initial_state(state0)
     table1, singular1 = _field_tables(deformed, 1, cfg.alpha)
     table2, singular2 = _field_tables(deformed, 2, cfg.alpha)
     singular_terms = singular1 or singular2
-    evaluate1 = _guarded_rhs(table1, singular_terms, cfg.alpha)
-    evaluate2 = _guarded_rhs(table2, singular_terms, cfg.alpha)
+    field1 = _guarded_rhs(table1, singular_terms, cfg.alpha)
+    field2 = _guarded_rhs(table2, singular_terms, cfg.alpha)
 
-    y = state0.as_array()
     s_offset = 0.0
-    raw: list[tuple[float, float, float, np.ndarray]] = [(0.0, t0.t1, t0.t2, y.copy())]
+    raw: list[tuple[float, float, float, State4]] = [(0.0, t0.t1, t0.t2, y)]
     for start, stop in path.segments():
         d1, d2 = stop.t1 - start.t1, stop.t2 - start.t2
         length = math.hypot(d1, d2)
-        w1, w2 = d1 / length, d2 / length
-
-        def rhs(s: float, y_local: np.ndarray, start=start, w1=w1, w2=w2) -> np.ndarray:
-            t1v = start.t1 + w1 * s
-            t2v = start.t2 + w2 * s
-            combined = np.zeros(4, dtype=np.float64)
-            if w1:
-                combined += w1 * evaluate1(y_local, t1v, t2v)
-            if w2:
-                combined += w2 * evaluate2(y_local, t1v, t2v)
-            return combined
-
+        rhs = _segment_rhs(field1, field2, start, d1 / length, d2 / length)
         steps = _integrate_ode(rhs, length, y, cfg)
         for s, y_step in steps[1:]:
             fraction = s / length
@@ -520,9 +612,8 @@ def check_flow_commutation_numeric(
     one_then_two = integrate_autonomous(2, first, u, cfg).final_state
     second = integrate_autonomous(2, state0, u, cfg).final_state
     two_then_one = integrate_autonomous(1, second, s, cfg).final_state
-    return float(
-        np.max(np.abs(one_then_two.as_array() - two_then_one.as_array()))
-    )
+    a, b = one_then_two, two_then_one
+    return max(abs(a.x1 - b.x1), abs(a.x2 - b.x2), abs(a.p1 - b.p1), abs(a.p2 - b.p2))
 
 
 def eigenvalue_samples(
@@ -533,16 +624,11 @@ def eigenvalue_samples(
     lambdas: Sequence[float],
 ) -> list[tuple[complex, complex]]:
     """Eigenvalue pairs +-sqrt(-det L(lambda_j)) of the traceless Lax matrix."""
-    det_table = _det_table(deformed, float(alpha))
-    vals = np.array(
-        [state.x1, state.x2, state.p1, state.p2, t.t1, t.t2, 1.0, alpha],
-        dtype=np.float64,
-    )
+    det = _det_table(deformed, float(alpha)).evaluate
     pairs = []
     for lam in lambdas:
-        vals[6] = lam
-        det = det_table(vals)[0]
-        root = cmath.sqrt(complex(-det))
+        value = det(state.x1, state.x2, state.p1, state.p2, t.t1, t.t2, lam, alpha)[0]
+        root = cmath.sqrt(complex(-value))
         pairs.append((root, -root))
     return pairs
 

@@ -1,127 +1,71 @@
 """Numeric evaluation kernels for the hot inner loops.
 
-Symbolic vector fields and diagnostics are flattened once into term tables
-(one float coefficient and eight integer exponents per term) and then
-evaluated many thousands of times per integration run.  A compiled Cython
-kernel does this when available; a pure-Python kernel with the *same*
-arithmetic (repeated multiply/divide, fixed term order) is the fallback, so
-the two backends produce bit-identical results.
+Symbolic vector fields and diagnostics are turned once into straight-line
+Python functions and then evaluated many thousands of times per integration
+run.  Each polynomial becomes one expression
 
-Backend selection happens at import: the compiled module is used if it
-built, unless HHLAX_PURE_PYTHON is set to a non-empty value other than "0".
+    r0 = 0.0 + 1.5*x1*x1/x2/x2/x2 + -0.5*p2 + ...
+
+with its terms in the canonical `sorted_terms()` order and every term a
+left-to-right chain of multiplications and divisions, one per unit of
+exponent, variables in `VarId` order.  The results are therefore fixed bit
+for bit by the polynomials alone: the same term-table arithmetic that an
+interpreter of (coefficient, exponents) rows performs, without the
+interpreter.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Sequence
 
-import numpy as np
+from .algebra import LaurentPoly
 
-from .algebra import N_VARS, LaurentPoly
+__all__ = ["CompiledPolySet"]
 
-__all__ = ["CompiledPolySet", "active_backend", "available_backends"]
+# Parameter names of the generated functions, in VarId order.
+_ARGUMENTS = ("x1", "x2", "p1", "p2", "t1", "t2", "lam", "alpha")
 
-_FORCE_PURE = os.environ.get("HHLAX_PURE_PYTHON", "0") not in ("", "0")
-
-try:
-    from . import _speedups  # type: ignore[attr-defined]
-except ImportError:
-    _speedups = None
-
-_ACTIVE = "python" if (_FORCE_PURE or _speedups is None) else "compiled"
+# Terms per statement: a longer left-associated sum would nest deeper than
+# the bytecode compiler accepts for large tables.
+_TERMS_PER_LINE = 64
 
 
-def active_backend() -> str:
-    """Backend used by default: "compiled" or "python"."""
-    return _ACTIVE
+def _term_source(mono: tuple[int, ...], coeff: float) -> str:
+    parts = [repr(coeff)]
+    for name, exp in zip(_ARGUMENTS, mono):
+        op = "*" if exp > 0 else "/"
+        parts.extend(f"{op}{name}" for _ in range(abs(exp)))
+    return "".join(parts)
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("compiled", "python") if _speedups is not None else ("python",)
-
-
-def _python_evaluator(
-    terms_per_poly: list[list[tuple[float, list[tuple[int, int]]]]],
-) -> Callable[[np.ndarray, np.ndarray], None]:
-    def evaluate(vals: np.ndarray, out: np.ndarray) -> None:
-        values = vals.tolist()
-        for i, terms in enumerate(terms_per_poly):
-            acc = 0.0
-            for coeff, factors in terms:
-                term = coeff
-                for var, exp in factors:
-                    value = values[var]
-                    if exp > 0:
-                        for _ in range(exp):
-                            term *= value
-                    else:
-                        for _ in range(-exp):
-                            term /= value
-                acc += term
-            out[i] = acc
-
-    return evaluate
+def _poly_source(target: str, poly: LaurentPoly) -> list[str]:
+    terms = [_term_source(mono, float(coeff)) for mono, coeff in poly.sorted_terms()]
+    lines = [f"    {target} = 0.0" + "".join(f" + {t}" for t in terms[:_TERMS_PER_LINE])]
+    for start in range(_TERMS_PER_LINE, len(terms), _TERMS_PER_LINE):
+        chunk = terms[start:start + _TERMS_PER_LINE]
+        lines.append(f"    {target} = {target}" + "".join(f" + {t}" for t in chunk))
+    return lines
 
 
 class CompiledPolySet:
-    """A stack of Laurent polynomials compiled to flat term tables.
+    """A stack of Laurent polynomials compiled to one Python function.
 
-    Calling the set evaluates every polynomial at one 8-variable point.
-    Term order is the canonical sorted order of each polynomial, so results
-    are deterministic and identical across backends.
+    `evaluate(x1, x2, p1, p2, t1, t2, lam, alpha)` returns a tuple with one
+    float per polynomial; calling the set with a sequence of the eight
+    values does the same.  A variable at a negative power that is zero
+    raises ZeroDivisionError.
     """
 
-    def __init__(self, polys: Sequence[LaurentPoly], backend: str | None = None):
-        backend = backend or _ACTIVE
-        if backend not in available_backends():
-            raise ValueError(f"backend {backend!r} not available (have {available_backends()})")
-        self.backend = backend
+    def __init__(self, polys: Sequence[LaurentPoly]):
         self.n_polys = len(polys)
+        targets = [f"r{i}" for i in range(self.n_polys)]
+        lines = [f"def evaluate({', '.join(_ARGUMENTS)}):"]
+        for target, poly in zip(targets, polys):
+            lines.extend(_poly_source(target, poly))
+        lines.append(f"    return ({''.join(t + ', ' for t in targets)})")
+        namespace: dict = {}
+        exec(compile("\n".join(lines) + "\n", "<hhlax.kernels>", "exec"), namespace)
+        self.evaluate: Callable[..., tuple[float, ...]] = namespace["evaluate"]
 
-        coeffs: list[float] = []
-        exponents: list[tuple[int, ...]] = []
-        offsets = [0]
-        for poly in polys:
-            for mono, coeff in poly.sorted_terms():
-                coeffs.append(float(coeff))
-                exponents.append(mono)
-            offsets.append(len(coeffs))
-
-        self._coeffs = np.asarray(coeffs, dtype=np.float64)
-        self._exponents = (
-            np.asarray(exponents, dtype=np.int32)
-            if exponents
-            else np.zeros((0, N_VARS), dtype=np.int32)
-        )
-        self._offsets = np.asarray(offsets, dtype=np.int32)
-
-        if backend == "compiled":
-            self._evaluate = self._compiled_evaluator()
-        else:
-            terms_per_poly = []
-            for start, stop in zip(self._offsets, self._offsets[1:]):
-                terms = []
-                for row in range(start, stop):
-                    factors = [
-                        (var, int(exp))
-                        for var, exp in enumerate(self._exponents[row])
-                        if exp
-                    ]
-                    terms.append((float(self._coeffs[row]), factors))
-                terms_per_poly.append(terms)
-            self._evaluate = _python_evaluator(terms_per_poly)
-
-    def _compiled_evaluator(self):
-        coeffs, exponents, offsets = self._coeffs, self._exponents, self._offsets
-
-        def evaluate(vals: np.ndarray, out: np.ndarray) -> None:
-            _speedups.eval_stacked(coeffs, exponents, offsets, vals, out)
-
-        return evaluate
-
-    def __call__(self, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty(self.n_polys, dtype=np.float64)
-        self._evaluate(vals, out)
-        return out
+    def __call__(self, vals: Sequence[float]) -> tuple[float, ...]:
+        return self.evaluate(*vals)

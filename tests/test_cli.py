@@ -2,11 +2,13 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from hhlax import dynamics
 from hhlax.cli import main
 from hhlax.model import potential
 
@@ -159,6 +161,77 @@ class TestSimulateCommand:
         assert "integration aborted" in result.stderr
 
 
+    def test_span_capped_by_max_step_ends_exactly(self, tmp_path, capsys):
+        # Ten steps of max_step = 0.01 add up to a sliver short of 0.1; the
+        # run must still end at s = 0.1 instead of underflowing.
+        out_file = tmp_path / "run.csv"
+        code, _, err = run_cli(
+            "simulate", "--flow", "t1", "--state", "1,1,0,0", "--duration", "0.1",
+            "--abs-tol", "1e-6", "--rel-tol", "1e-6", "--out", str(out_file), capsys=capsys,
+        )
+        assert code == 0, err
+        with open(out_file) as stream:
+            rows = list(csv.reader(stream))
+        assert float(rows[-1][0]) == 0.1
+        parameters = [float(row[0]) for row in rows[1:]]
+        assert all(a < b for a, b in zip(parameters, parameters[1:]))
+
+    def test_fixed_step_blow_up_exits_3(self, tmp_path, capsys):
+        # rk4-fixed steps through the finite-time blow-up near t1 ~ 2.7.
+        out_file = tmp_path / "blowup.csv"
+        code, _, err = run_cli(
+            "simulate", "--flow", "t1", "--method", "rk4-fixed", "--duration", "3",
+            "--max-step", "0.01", "--state", "1,1,0,0", "--out", str(out_file),
+            capsys=capsys,
+        )
+        assert code == 3
+        assert "not finite" in err
+        if out_file.exists():
+            with open(out_file) as stream:
+                rows = list(csv.reader(stream))[1:]
+            assert all(math.isfinite(float(value)) for row in rows for value in row)
+
+
+SIMULATE = ["simulate", "--flow", "t1", "--state", "1,1,0,0", "--duration", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SIMULATE + ["--max-step", "nan"],
+        SIMULATE + ["--max-step", "inf"],
+        SIMULATE + ["--abs-tol", "inf"],
+        SIMULATE + ["--rel-tol", "nan"],
+        SIMULATE + ["--abs-tol", "0"],
+        SIMULATE + ["--alpha", "nan"],
+        SIMULATE + ["--alpha=-inf"],
+        SIMULATE + ["--lambdas", "1,inf"],
+        SIMULATE + ["--state", "nan,1,0,0"],
+        SIMULATE + ["--state", "1,inf,0,0"],
+        SIMULATE + ["--deformed", "true", "--t0", "0,nan"],
+        ["simulate", "--flow", "t1", "--duration", "nan"],
+        ["simulate", "--flow", "t2", "--deformed", "true", "--duration", "inf"],
+        ["simulate", "--flow", "t1", "--deformed", "true", "--duration", "0", "--alpha", "nan"],
+        ["pfaffian", "--waypoints", "0,0;nan,0"],
+        ["pfaffian", "--waypoints", "0,0;1,0", "--max-step", "nan"],
+        ["spectral", "--state", "1,1,0,0", "--alpha", "nan"],
+        ["spectral", "--state", "1,1,inf,0"],
+        ["spectral", "--state", "1,1,0,0", "--lambdas", "nan"],
+    ],
+)
+def test_bad_number_exits_2(argv, tmp_path, capsys, monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(dynamics, "_integrate_ode", no_integration)
+    if argv[0] != "spectral":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestPfaffianCommand:
     def test_rectangle_paths_agree(self, tmp_path, capsys):
         files = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -222,3 +295,11 @@ class TestUsage:
         result = run_subprocess("--help")
         assert result.returncode == 0
         assert "verify" in result.stdout
+
+    def test_import_leaves_numpy_out(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, hhlax.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

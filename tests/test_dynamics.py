@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -28,6 +29,10 @@ REFERENCE = PhaseState(1.0, 1.0, 0.0, 0.0)
 ORIGIN = TimePoint(0.0, 0.0)
 
 rng = np.random.default_rng(1905)
+
+
+def max_difference(a: PhaseState, b: PhaseState) -> float:
+    return max(abs(u - v) for u, v in zip(astuple(a), astuple(b)))
 
 
 class TestFlowRhs:
@@ -115,18 +120,16 @@ class TestAutonomousIntegration:
         cfg = IntegratorConfig(method="rk4-fixed", max_step=0.005)
         reference = integrate_autonomous(1, REFERENCE, 1.0)
         fixed = integrate_autonomous(1, REFERENCE, 1.0, cfg)
-        assert np.allclose(
-            fixed.final_state.as_array(), reference.final_state.as_array(), atol=1e-8
-        )
+        assert np.allclose(astuple(fixed.final_state), astuple(reference.final_state), atol=1e-8)
 
     def test_rk4_fourth_order_convergence(self):
         tight = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)
-        reference = integrate_autonomous(1, REFERENCE, 1.0, tight).final_state.as_array()
+        reference = integrate_autonomous(1, REFERENCE, 1.0, tight).final_state
 
         def endpoint_error(step: float) -> float:
             cfg = IntegratorConfig(method="rk4-fixed", max_step=step)
-            final = integrate_autonomous(1, REFERENCE, 1.0, cfg).final_state.as_array()
-            return float(np.max(np.abs(final - reference)))
+            final = integrate_autonomous(1, REFERENCE, 1.0, cfg).final_state
+            return max_difference(final, reference)
 
         ratio = endpoint_error(0.02) / endpoint_error(0.01)
         assert 12.0 <= ratio <= 20.0
@@ -136,8 +139,7 @@ class TestPfaffianIntegration:
     def test_out_and_back_returns_to_start(self):
         path = Path.from_pairs([(0, 0), (0.3, 0.2), (0, 0)])
         trajectory = integrate_pfaffian(REFERENCE, ORIGIN, path)
-        error = np.max(np.abs(trajectory.final_state.as_array() - REFERENCE.as_array()))
-        assert error < 1e-8
+        assert max_difference(trajectory.final_state, REFERENCE) < 1e-8
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     @pytest.mark.parametrize("deformed", [True, False])
@@ -147,15 +149,13 @@ class TestPfaffianIntegration:
         second = Path.from_pairs([(0, 0), (0, 0.5), (0.5, 0.5)])
         end1 = integrate_pfaffian(REFERENCE, ORIGIN, first, cfg, deformed=deformed).final_state
         end2 = integrate_pfaffian(REFERENCE, ORIGIN, second, cfg, deformed=deformed).final_state
-        assert np.max(np.abs(end1.as_array() - end2.as_array())) < 1e-7
+        assert max_difference(end1, end2) < 1e-7
 
     def test_single_segment_reduces_to_autonomous(self):
         path = Path.from_pairs([(0, 0), (0.7, 0)])
         multi_time = integrate_pfaffian(REFERENCE, ORIGIN, path, deformed=False)
         autonomous = integrate_autonomous(1, REFERENCE, 0.7)
-        assert np.max(
-            np.abs(multi_time.final_state.as_array() - autonomous.final_state.as_array())
-        ) < 1e-9
+        assert max_difference(multi_time.final_state, autonomous.final_state) < 1e-9
 
     def test_path_must_start_at_t0(self):
         path = Path.from_pairs([(0.1, 0), (0.5, 0)])

@@ -1,79 +1,102 @@
-"""Kernel backends: agreement between the compiled and pure-Python paths."""
+"""Generated kernels: bit-for-bit agreement with a term-table interpreter,
+and agreement with exact substitution."""
 
-import numpy as np
+import random
+
 import pytest
 
-from hhlax.algebra import LaurentPoly, Rational, substitute_numeric, VarId
-from hhlax.kernels import CompiledPolySet, active_backend, available_backends
+from hhlax.algebra import LaurentPoly, Rational, VarId, substitute_numeric
+from hhlax.kernels import CompiledPolySet
 from hhlax.model import hamiltonians, lax_matrices
 
-rng = np.random.default_rng(20240817)
+rng = random.Random(20240817)
+
+
+def interpret(polys, vals):
+    """Reference evaluator: one (coefficient, exponents) row per term, in
+    canonical order, each term a left-to-right chain of multiplications and
+    divisions by the variables in VarId order."""
+    out = []
+    for poly in polys:
+        acc = 0.0
+        for mono, coeff in poly.sorted_terms():
+            term = float(coeff)
+            for value, exp in zip(vals, mono):
+                for _ in range(abs(exp)):
+                    term = term * value if exp > 0 else term / value
+            acc += term
+        out.append(acc)
+    return tuple(out)
 
 
 def _random_poly(n_terms: int) -> LaurentPoly:
     terms = {}
     for _ in range(n_terms):
-        mono = tuple(int(e) for e in rng.integers(-3, 4, size=8))
-        terms[mono] = Rational(int(rng.integers(-20, 21)), int(rng.integers(1, 8)))
+        mono = tuple(rng.randint(-3, 3) for _ in range(8))
+        terms[mono] = Rational(rng.randint(-20, 20), rng.randint(1, 7))
     return LaurentPoly(terms)
 
 
-def _random_vals() -> np.ndarray:
+def _random_vals() -> list[float]:
     # Stay away from zero so negative powers are well defined.
-    signs = rng.choice([-1.0, 1.0], size=8)
-    return signs * rng.uniform(0.5, 2.0, size=8)
+    return [rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) for _ in range(8)]
 
 
-def test_active_backend_is_available():
-    assert active_backend() in available_backends()
+def _bits(values) -> list[str]:
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return [value.hex() for value in values]
 
 
-def test_python_backend_always_available():
-    assert "python" in available_backends()
+def _deformed_polys(alpha) -> list[LaurentPoly]:
+    hams = hamiltonians(True)
+    polys = [hams.h1, hams.h2, lax_matrices(True).L.det()]
+    return [poly.substitute_rational(VarId.ALPHA, alpha) for poly in polys]
 
 
 def test_zero_polynomial():
-    table = CompiledPolySet([LaurentPoly.zero()], backend="python")
-    assert table(_random_vals())[0] == 0.0
+    table = CompiledPolySet([LaurentPoly.zero()])
+    assert table(_random_vals()) == (0.0,)
+
+
+def test_all_ones_point():
+    table = CompiledPolySet([hamiltonians(False).h1])
+    assert table([1.0] * 8) == (3.5,)  # 1/2 + 1/2 + 1 + 1/2 + 1
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [
+        pytest.param([_random_poly(5) for _ in range(6)], id="random"),
+        # More terms than one generated statement holds.
+        pytest.param([_random_poly(150)], id="long"),
+        pytest.param(_deformed_polys(Rational(1, 20)), id="deformed-alpha"),
+        pytest.param(
+            [hamiltonians(True).h1, hamiltonians(True).h2, lax_matrices(True).L.det()],
+            id="deformed-symbolic-alpha",
+        ),
+    ],
+)
+def test_generated_code_matches_interpreter_bit_for_bit(polys):
+    table = CompiledPolySet(polys)
+    assert table.n_polys == len(polys)
+    for _ in range(100):
+        vals = _random_vals()
+        assert _bits(table.evaluate(*vals)) == _bits(interpret(polys, vals))
 
 
 def test_matches_exact_substitution():
     polys = [hamiltonians(False).h1, hamiltonians(False).h2, lax_matrices(False).L.det()]
+    polys += [hamiltonians(True).h1, hamiltonians(True).h2, lax_matrices(True).L.det()]
     table = CompiledPolySet(polys)
     for _ in range(50):
         vals = _random_vals()
-        point = {VarId(i): float(vals[i]) for i in range(8)}
-        out = table(vals)
-        for poly, got in zip(polys, out):
+        point = {VarId(i): vals[i] for i in range(8)}
+        for poly, got in zip(polys, table(vals)):
             expected = substitute_numeric(poly, point)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.skipif(
-    "compiled" not in available_backends(), reason="compiled kernel not built"
-)
-def test_backends_are_bit_identical():
-    # Same term order and same multiply/divide sequence in both kernels, so
-    # the floats must agree exactly, not just approximately.
-    polys = [_random_poly(5) for _ in range(6)] + [
-        hamiltonians(True).h1,
-        hamiltonians(True).h2,
-    ]
-    compiled = CompiledPolySet(polys, backend="compiled")
-    pure = CompiledPolySet(polys, backend="python")
-    for _ in range(100):
-        vals = _random_vals()
-        assert np.array_equal(compiled(vals), pure(vals))
-
-
-def test_out_argument_reuse():
-    table = CompiledPolySet([hamiltonians(False).h1])
-    out = np.empty(1)
-    result = table(np.ones(8), out)
-    assert result is out
-    assert out[0] == 3.5  # 1/2 + 1/2 + 1 + 1/2 + 1 at the all-ones point
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        CompiledPolySet([LaurentPoly.one()], backend="fortran")
+def test_negative_power_of_zero_raises():
+    table = CompiledPolySet(_deformed_polys(Rational(1, 20))[:1])
+    with pytest.raises(ZeroDivisionError):
+        table.evaluate(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.05)
