@@ -15,9 +15,6 @@ from .algebra import (
     Rational,
     VarId,
     mat_commutator,
-    mat_det,
-    mat_trace,
-    partial_derivative,
     poisson_bracket,
     substitute_numeric,
 )

@@ -24,12 +24,9 @@ __all__ = [
     "MissingAssignment",
     "DivisionByZero",
     "as_poly",
-    "partial_derivative",
     "poisson_bracket",
     "substitute_numeric",
     "mat_commutator",
-    "mat_det",
-    "mat_trace",
 ]
 
 # Exact coefficient field.  fractions.Fraction already guarantees the
@@ -360,10 +357,6 @@ def as_poly(value) -> LaurentPoly:
     return NotImplemented
 
 
-def partial_derivative(f: LaurentPoly, var: VarId) -> LaurentPoly:
-    return f.diff(var)
-
-
 def poisson_bracket(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Canonical bracket sum_i (df/dx_i dg/dp_i - df/dp_i dg/dx_i)."""
     acc = LaurentPoly.zero()
@@ -490,11 +483,3 @@ def _require_poly(value) -> LaurentPoly:
 def mat_commutator(a: PolyMatrix2, b: PolyMatrix2) -> PolyMatrix2:
     """AB - BA, computed exactly."""
     return a @ b - b @ a
-
-
-def mat_det(a: PolyMatrix2) -> LaurentPoly:
-    return a.det()
-
-
-def mat_trace(a: PolyMatrix2) -> LaurentPoly:
-    return a.trace()

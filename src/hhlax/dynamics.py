@@ -11,8 +11,9 @@ Integrators: classic fixed-step RK4 and an adaptive Dormand-Prince 5(4)
 pair, both on plain 4-float tuples with the stage sums written out.
 Right-hand sides and diagnostics are the generated functions of
 `hhlax.kernels`, with the runtime value of alpha folded exactly into the
-polynomials beforehand.  A run keeps no shared mutable state, so
-independent integrations may proceed in parallel.
+polynomials beforehand; the generated code refuses the x2 = 0 singular set
+itself.  A run keeps no shared mutable state, so independent integrations
+may proceed in parallel.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import LaurentPoly, VarId, substitute_numeric
-from .kernels import CompiledPolySet
-from .model import VectorField4, hamiltonian_vector_field, hamiltonians, lax_matrices
+from .kernels import CompiledPolySet, SingularState
+from .model import hamiltonian_vector_field, hamiltonians, lax_matrices
 
 __all__ = [
     "SingularState",
@@ -49,14 +50,11 @@ __all__ = [
     "check_reparametrization_numeric",
 ]
 
-# |x2| below this with alpha != 0 counts as sitting on the singular set.
-_X2_SINGULAR_TOL = 1e-12
 # A step shorter than this fraction of the span aborts the run.
 _MIN_STEP_FRACTION = 1e-14
-
-
-class SingularState(RuntimeError):
-    """The state reached the x2 = 0 singular set while alpha != 0."""
+# The most steps one span may need: rk4-fixed takes ceil(span / max_step)
+# steps and DP45, whose steps never exceed max_step either, at least as many.
+_MAX_STEPS = 10**6
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -238,37 +236,39 @@ class Trajectory:
 
 # -- generated right-hand sides and diagnostics ---------------------------
 
+# evaluate(x1, x2, p1, p2, t1, t2, lam, alpha) -> one float per polynomial
+Evaluate = Callable[..., tuple[float, ...]]
 
-def _fold_alpha(poly: LaurentPoly, alpha: float) -> LaurentPoly:
-    # Fraction(float) is exact, so this loses nothing and lets alpha = 0
-    # remove the singular terms entirely.
+
+class _Tables(NamedTuple):
+    field1: Evaluate  # Y_1, 4 components
+    field2: Evaluate  # Y_2, 4 components
+    hamiltonians: Evaluate  # (h1, h2)
+    det: Evaluate  # (det L(lambda),)
+
+
+@lru_cache(maxsize=None)
+def _tables(deformed: bool, alpha: float) -> _Tables:
+    """The generated functions of one model with alpha folded in."""
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    return poly.substitute_rational(VarId.ALPHA, Fraction(alpha))
+    # Fraction(float) is exact, so folding loses nothing and alpha = 0
+    # removes the singular terms, and with them the generated guard.
+    value = Fraction(alpha)
 
+    def compile_folded(polys: Iterable[LaurentPoly]) -> Evaluate:
+        return CompiledPolySet([p.substitute_rational(VarId.ALPHA, value) for p in polys]).evaluate
 
-@lru_cache(maxsize=None)
-def _symbolic_field(deformed: bool, k: int) -> VectorField4:
     hams = hamiltonians(deformed)
-    return hamiltonian_vector_field(hams.h1 if k == 1 else hams.h2)
-
-
-@lru_cache(maxsize=None)
-def _field_tables(deformed: bool, k: int, alpha: float) -> tuple[CompiledPolySet, bool]:
-    components = [_fold_alpha(c, alpha) for c in _symbolic_field(deformed, k).components]
-    singular = any(c.degree_range(VarId.X2)[0] < 0 for c in components)
-    return CompiledPolySet(components), singular
-
-
-@lru_cache(maxsize=None)
-def _hamiltonian_tables(deformed: bool, alpha: float) -> CompiledPolySet:
-    hams = hamiltonians(deformed)
-    return CompiledPolySet([_fold_alpha(hams.h1, alpha), _fold_alpha(hams.h2, alpha)])
-
-
-@lru_cache(maxsize=None)
-def _det_table(deformed: bool, alpha: float) -> CompiledPolySet:
-    return CompiledPolySet([_fold_alpha(lax_matrices(deformed).L.det(), alpha)])
+    try:
+        return _Tables(
+            compile_folded(hamiltonian_vector_field(hams.h1).components),
+            compile_folded(hamiltonian_vector_field(hams.h2).components),
+            compile_folded((hams.h1, hams.h2)),
+            compile_folded((lax_matrices(deformed).L.det(),)),
+        )
+    except OverflowError as exc:  # a folded coefficient beyond the float range
+        raise ValueError(f"alpha = {alpha!r} is too large for the float kernels") from exc
 
 
 def _initial_state(state: PhaseState) -> State4:
@@ -288,9 +288,9 @@ def flow_rhs(
     """
     if k not in (1, 2):
         raise ValueError("flow index must be 1 or 2")
-    table, singular_terms = _field_tables(deformed, k, float(alpha))
-    field = _guarded_rhs(table, singular_terms, alpha)
-    return field(state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
+    tables = _tables(deformed, float(alpha))
+    field = tables.field1 if k == 1 else tables.field2
+    return field(state.x1, state.x2, state.p1, state.p2, t.t1, t.t2, 1.0, alpha)
 
 
 # -- steppers ------------------------------------------------------------
@@ -440,6 +440,11 @@ def _integrate_dp45(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -
     return samples
 
 
+def _check_step_budget(span: float, max_step: float) -> None:
+    if span / max_step > _MAX_STEPS:
+        raise ValueError(f"a span of {span!r} needs more than {_MAX_STEPS} steps of at most {max_step!r}")
+
+
 def _integrate_ode(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -> list[tuple[float, State4]]:
     """Integrate dy/ds = rhs(s, *y) from s = 0 to s_end >= 0.
 
@@ -455,43 +460,40 @@ def _integrate_ode(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) ->
 # -- public integration ---------------------------------------------------
 
 
+def _eigenvalues(
+    det: Evaluate, y: State4, t1v: float, t2v: float, alpha: float, lambdas: Sequence[float]
+) -> tuple[complex, ...]:
+    """sqrt(-det L(lambda_j)), one branch of each eigenvalue pair."""
+    x1, x2, p1, p2 = y
+    roots = []
+    for lam in lambdas:
+        value = det(x1, x2, p1, p2, t1v, t2v, lam, alpha)[0]
+        if not math.isfinite(value):
+            raise NonFiniteState(f"det L({lam!r}) = {value!r} is not finite at state {y!r}")
+        roots.append(cmath.sqrt(complex(-value)))
+    return tuple(roots)
+
+
 def _diagnose(
     raw: list[tuple[float, float, float, State4]],
     deformed: bool,
     cfg: IntegratorConfig,
 ) -> Trajectory:
-    hamiltonian = _hamiltonian_tables(deformed, cfg.alpha).evaluate
-    det = _det_table(deformed, cfg.alpha).evaluate
+    tables = _tables(deformed, cfg.alpha)
+    hamiltonian, det = tables.hamiltonians, tables.det
     alpha, lambdas = cfg.alpha, cfg.lambdas
-    sqrt = cmath.sqrt
+    isfinite = math.isfinite
     samples = []
     for s, t1v, t2v, y in raw:
         x1, x2, p1, p2 = y
         h1v, h2v = hamiltonian(x1, x2, p1, p2, t1v, t2v, 1.0, alpha)
-        eigenvalues = tuple(
-            sqrt(complex(-det(x1, x2, p1, p2, t1v, t2v, lam, alpha)[0])) for lam in lambdas
-        )
+        if not (isfinite(h1v) and isfinite(h2v)):
+            raise NonFiniteState(f"h1 = {h1v!r}, h2 = {h2v!r} are not finite at s = {s!r}")
+        eigenvalues = _eigenvalues(det, y, t1v, t2v, alpha, lambdas)
         samples.append(
             TrajectorySample(s, TimePoint(t1v, t2v), PhaseState(x1, x2, p1, p2), h1v, h2v, eigenvalues)
         )
     return Trajectory(samples, lambdas)
-
-
-def _guarded_rhs(
-    table: CompiledPolySet,
-    singular_terms: bool,
-    alpha: float,
-) -> Callable[[float, float, float, float, float, float], State4]:
-    """The field as f(x1, x2, p1, p2, t1, t2), refusing the singular set."""
-    evaluate = table.evaluate
-    guarded = alpha != 0.0 and singular_terms
-
-    def field(x1: float, x2: float, p1: float, p2: float, t1v: float, t2v: float) -> State4:
-        if guarded and abs(x2) <= _X2_SINGULAR_TOL:
-            raise SingularState(f"x2 = {x2!r} with alpha = {alpha!r}")
-        return evaluate(x1, x2, p1, p2, t1v, t2v, 1.0, alpha)
-
-    return field
 
 
 def snapshot(
@@ -518,11 +520,13 @@ def integrate_autonomous(
     if not math.isfinite(duration) or duration < 0:
         raise ValueError("duration must be finite and nonnegative")
     y0 = _initial_state(state0)
-    table, singular_terms = _field_tables(False, k, cfg.alpha)
-    field = _guarded_rhs(table, singular_terms, cfg.alpha)
+    _check_step_budget(duration, cfg.max_step)
+    tables = _tables(False, cfg.alpha)
+    field = tables.field1 if k == 1 else tables.field2
+    alpha = cfg.alpha
 
     def rhs(s: float, x1: float, x2: float, p1: float, p2: float) -> State4:
-        return field(x1, x2, p1, p2, 0.0, 0.0)
+        return field(x1, x2, p1, p2, 0.0, 0.0, 1.0, alpha)
 
     steps = _integrate_ode(rhs, duration, y0, cfg)
     raw = [
@@ -532,8 +536,9 @@ def integrate_autonomous(
     return _diagnose(raw, False, cfg)
 
 
-def _segment_rhs(field1, field2, start: TimePoint, w1: float, w2: float) -> Rhs:
+def _segment_rhs(tables: _Tables, alpha: float, start: TimePoint, w1: float, w2: float) -> Rhs:
     """w1 * Y_1 + w2 * Y_2 along t = start + s * (w1, w2); zero weights skip their field."""
+    field1, field2 = tables.field1, tables.field2
     t1_start, t2_start = start.t1, start.t2
 
     def rhs(s: float, x1: float, x2: float, p1: float, p2: float) -> State4:
@@ -541,13 +546,13 @@ def _segment_rhs(field1, field2, start: TimePoint, w1: float, w2: float) -> Rhs:
         t2v = t2_start + w2 * s
         r1 = r2 = r3 = r4 = 0.0
         if w1:
-            f1, f2, f3, f4 = field1(x1, x2, p1, p2, t1v, t2v)
+            f1, f2, f3, f4 = field1(x1, x2, p1, p2, t1v, t2v, 1.0, alpha)
             r1 += w1 * f1
             r2 += w1 * f2
             r3 += w1 * f3
             r4 += w1 * f4
         if w2:
-            f1, f2, f3, f4 = field2(x1, x2, p1, p2, t1v, t2v)
+            f1, f2, f3, f4 = field2(x1, x2, p1, p2, t1v, t2v, 1.0, alpha)
             r1 += w2 * f1
             r2 += w2 * f2
             r3 += w2 * f3
@@ -575,18 +580,16 @@ def integrate_pfaffian(
     if path.waypoints[0] != t0:
         raise ValueError("path must start at t0")
     y = _initial_state(state0)
-    table1, singular1 = _field_tables(deformed, 1, cfg.alpha)
-    table2, singular2 = _field_tables(deformed, 2, cfg.alpha)
-    singular_terms = singular1 or singular2
-    field1 = _guarded_rhs(table1, singular_terms, cfg.alpha)
-    field2 = _guarded_rhs(table2, singular_terms, cfg.alpha)
+    for start, stop in path.segments():
+        _check_step_budget(math.hypot(stop.t1 - start.t1, stop.t2 - start.t2), cfg.max_step)
+    tables = _tables(deformed, cfg.alpha)
 
     s_offset = 0.0
     raw: list[tuple[float, float, float, State4]] = [(0.0, t0.t1, t0.t2, y)]
     for start, stop in path.segments():
         d1, d2 = stop.t1 - start.t1, stop.t2 - start.t2
         length = math.hypot(d1, d2)
-        rhs = _segment_rhs(field1, field2, start, d1 / length, d2 / length)
+        rhs = _segment_rhs(tables, cfg.alpha, start, d1 / length, d2 / length)
         steps = _integrate_ode(rhs, length, y, cfg)
         for s, y_step in steps[1:]:
             fraction = s / length
@@ -624,13 +627,10 @@ def eigenvalue_samples(
     lambdas: Sequence[float],
 ) -> list[tuple[complex, complex]]:
     """Eigenvalue pairs +-sqrt(-det L(lambda_j)) of the traceless Lax matrix."""
-    det = _det_table(deformed, float(alpha)).evaluate
-    pairs = []
-    for lam in lambdas:
-        value = det(state.x1, state.x2, state.p1, state.p2, t.t1, t.t2, lam, alpha)[0]
-        root = cmath.sqrt(complex(-value))
-        pairs.append((root, -root))
-    return pairs
+    det = _tables(deformed, float(alpha)).det
+    y = (state.x1, state.x2, state.p1, state.p2)
+    roots = _eigenvalues(det, y, t.t1, t.t2, alpha, lambdas)
+    return [(root, -root) for root in roots]
 
 
 def check_reparametrization_numeric(

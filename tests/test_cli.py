@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, golden output, file exports."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhlax import dynamics
 from hhlax.cli import main
@@ -217,6 +221,16 @@ SIMULATE = ["simulate", "--flow", "t1", "--state", "1,1,0,0", "--duration", "1"]
         ["spectral", "--state", "1,1,0,0", "--alpha", "nan"],
         ["spectral", "--state", "1,1,inf,0"],
         ["spectral", "--state", "1,1,0,0", "--lambdas", "nan"],
+        # A folded coefficient beyond the float range.
+        SIMULATE + ["--alpha", "1.7e308"],
+        ["spectral", "--state", "1,1,0,0", "--alpha", "1.7e308"],
+        # Spans that need more steps than the budget allows, for both methods
+        # and for a later segment of a path.
+        ["simulate", "--flow", "t1", "--duration", "1e10", "--method", "rk4-fixed",
+         "--max-step", "1e-300"],
+        SIMULATE + ["--duration", "1e5"],
+        ["simulate", "--flow", "t2", "--deformed", "true", "--duration", "2e4"],
+        ["pfaffian", "--waypoints", "0,0;0.5,0;1e5,0"],
     ],
 )
 def test_bad_number_exits_2(argv, tmp_path, capsys, monkeypatch):
@@ -230,6 +244,97 @@ def test_bad_number_exits_2(argv, tmp_path, capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectral", "--state", "1,0,0,0", "--alpha", "0.1"], "singular set"),
+        (SIMULATE + ["--duration", "0", "--state", "1,0,0,0", "--alpha", "0.1"], "singular set"),
+        (SIMULATE + ["--duration", "0", "--state", "1e200,1,0,0"], "not finite"),
+        (["spectral", "--state", "1e200,1,0,0"], "not finite"),
+        (SIMULATE + ["--lambdas", "1,1e100"], "not finite"),
+    ],
+)
+def test_numeric_failure_exits_3(argv, message, tmp_path, capsys):
+    if argv[0] != "spectral":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 3
+    assert err.startswith("integration aborted: ") and message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+# Finite numbers, with zeros, huge values and subnormals drawn often.
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, -1e200, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _numbers(count: int):
+    return st.lists(FINITE, min_size=count, max_size=count).map(
+        lambda values: ",".join(repr(value) for value in values)
+    )
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flow=st.sampled_from(["t1", "t2"]),
+    deformed=st.sampled_from(["true", "false"]),
+    method=st.sampled_from(["rk45-adaptive", "rk4-fixed"]),
+    state=_numbers(4),
+    t0=_numbers(2),
+    # Short spans and coarse steps keep each run to milliseconds; 1e-300
+    # exercises the step budget.
+    duration=st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(min_value=-0.1, max_value=0.2)),
+    max_step=st.sampled_from([0.01, 0.1, 1.0, 1e-300, 0.0]),
+    alpha=FINITE,
+    lambdas=st.integers(min_value=1, max_value=3).flatmap(_numbers),
+)
+def test_simulate_finite_input_property(flow, deformed, method, state, t0, duration, max_step, alpha, lambdas):
+    with tempfile.TemporaryDirectory() as scratch:
+        out_file = f"{scratch}/run.csv"
+        code, _ = _run_quietly([
+            "simulate", "--flow", flow, f"--deformed={deformed}", f"--method={method}",
+            f"--state={state}", f"--t0={t0}", f"--duration={duration!r}",
+            f"--max-step={max_step!r}", f"--alpha={alpha!r}", f"--lambdas={lambdas}",
+            "--out", out_file,
+        ])
+        assert code in (0, 2, 3)
+        if code == 0:
+            with open(out_file) as stream:
+                rows = list(csv.reader(stream))[1:]
+            assert rows
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    deformed=st.sampled_from(["true", "false"]),
+    state=_numbers(4),
+    t=_numbers(2),
+    alpha=FINITE,
+    lambdas=st.integers(min_value=1, max_value=3).flatmap(_numbers),
+)
+def test_spectral_finite_input_property(deformed, state, t, alpha, lambdas):
+    code, out = _run_quietly([
+        "spectral", f"--deformed={deformed}", f"--state={state}", f"--t={t}",
+        f"--alpha={alpha!r}", f"--lambdas={lambdas}",
+    ])
+    assert code in (0, 2, 3)
+    if code == 0:
+        lines = [line for line in out.splitlines() if line.strip().startswith("lambda = ")]
+        assert len(lines) == len(lambdas.split(","))
+        assert not any("inf" in line or "nan" in line for line in lines)
 
 
 class TestPfaffianCommand:

@@ -10,6 +10,7 @@ import pytest
 from hhlax.algebra import VarId, substitute_numeric
 from hhlax.dynamics import (
     IntegratorConfig,
+    NonFiniteState,
     Path,
     PhaseState,
     SingularState,
@@ -233,6 +234,38 @@ class TestEigenvalues:
         # det L(1) = 2 - 2 h1 - 2 h2 = -1.625 at the reference state.
         (plus, _), = eigenvalue_samples(False, REFERENCE, ORIGIN, 0.0, [1.0])
         assert plus == pytest.approx(math.sqrt(1.625))
+
+
+class TestDiagnosticFailures:
+    """The diagnostics share the stepper's typed numeric errors."""
+
+    SINGULAR = PhaseState(1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_eigenvalues_on_singular_set(self, deformed):
+        with pytest.raises(SingularState):
+            eigenvalue_samples(deformed, self.SINGULAR, ORIGIN, 0.1, [1.0])
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_snapshot_on_singular_set(self, deformed):
+        with pytest.raises(SingularState):
+            snapshot(deformed, self.SINGULAR, ORIGIN, IntegratorConfig(alpha=0.1))
+
+    @pytest.mark.parametrize(
+        "state, cfg",
+        [
+            # h1 = inf, with no det L samples to catch it
+            (PhaseState(1e200, 1.0, 0.0, 0.0), IntegratorConfig(lambdas=())),
+            (REFERENCE, IntegratorConfig(lambdas=(1.0, 1e100))),  # det L = -inf
+        ],
+    )
+    def test_snapshot_non_finite(self, state, cfg):
+        with pytest.raises(NonFiniteState):
+            snapshot(False, state, ORIGIN, cfg)
+
+    def test_eigenvalues_non_finite(self):
+        with pytest.raises(NonFiniteState):
+            eigenvalue_samples(False, PhaseState(1e200, 1.0, 0.0, 0.0), ORIGIN, 0.0, [0.5])
 
 
 class TestReparametrization:

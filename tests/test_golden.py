@@ -1,12 +1,14 @@
 """Golden trajectories: full integration runs compared byte for byte.
 
-The files were written by the term-table kernels and the numpy stepper that
-preceded the generated kernels and the float stepper; any change to the
-arithmetic of the right-hand side, the stage sums, the error norm or the
-diagnostics shows up here as a differing digit.
+The files were written by earlier versions of the kernels and steppers
+(the first two by the term-table kernels and the numpy stepper); any change
+to the arithmetic of the right-hand side, the stage sums, the error norm or
+the diagnostics shows up here as a differing digit.
 """
 
 import io
+
+import pytest
 
 from hhlax.dynamics import (
     IntegratorConfig,
@@ -35,17 +37,25 @@ def alpha_loop_run() -> Trajectory:
     return integrate_pfaffian(REFERENCE, TimePoint(0.0, 0.0), LOOP, cfg, deformed=True)
 
 
+def t2_rk4_alpha_run() -> Trajectory:
+    """The autonomous t2 flow with alpha != 0, fixed-step RK4 and other lambdas."""
+    cfg = IntegratorConfig(method="rk4-fixed", alpha=0.2, lambdas=(0.25, 1.0, 3.0))
+    return integrate_autonomous(2, REFERENCE, 0.7, cfg)
+
+
 def _csv(trajectory: Trajectory) -> str:
     buffer = io.StringIO()
     trajectory.write_csv(buffer)
     return buffer.getvalue()
 
 
-def test_reference_trajectory(golden_dir):
-    expected = (golden_dir / "trajectory_reference.csv").read_text()
-    assert _csv(reference_run()) == expected
-
-
-def test_pfaffian_loop_alpha(golden_dir):
-    expected = (golden_dir / "pfaffian_loop_alpha.csv").read_text()
-    assert _csv(alpha_loop_run()) == expected
+@pytest.mark.parametrize(
+    "name, run",
+    [
+        pytest.param("trajectory_reference.csv", reference_run, id="reference"),
+        pytest.param("pfaffian_loop_alpha.csv", alpha_loop_run, id="pfaffian_loop_alpha"),
+        pytest.param("trajectory_t2_rk4_alpha.csv", t2_rk4_alpha_run, id="t2_rk4_alpha"),
+    ],
+)
+def test_golden_trajectory(name, run, golden_dir):
+    assert _csv(run()) == (golden_dir / name).read_text()

@@ -1,12 +1,12 @@
 """Generated kernels: bit-for-bit agreement with a term-table interpreter,
-and agreement with exact substitution."""
+agreement with exact substitution, and the generated singular-set guard."""
 
 import random
 
 import pytest
 
 from hhlax.algebra import LaurentPoly, Rational, VarId, substitute_numeric
-from hhlax.kernels import CompiledPolySet
+from hhlax.kernels import CompiledPolySet, SingularState
 from hhlax.model import hamiltonians, lax_matrices
 
 rng = random.Random(20240817)
@@ -100,3 +100,24 @@ def test_negative_power_of_zero_raises():
     table = CompiledPolySet(_deformed_polys(Rational(1, 20))[:1])
     with pytest.raises(ZeroDivisionError):
         table.evaluate(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.05)
+
+
+@pytest.mark.parametrize("x2", [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12])
+def test_guard_refuses_the_singular_set(x2):
+    table = CompiledPolySet(_deformed_polys(Rational(1, 20)))
+    with pytest.raises(SingularState, match="x2"):
+        table.evaluate(1.0, x2, 0.0, 0.0, 0.0, 0.0, 1.0, 0.05)
+
+
+@pytest.mark.parametrize("x2", [2e-12, -2e-12])
+def test_guard_lets_nearby_points_through(x2):
+    polys = _deformed_polys(Rational(1, 20))
+    vals = [1.0, x2, 0.0, 0.0, 0.0, 0.0, 1.0, 0.05]
+    assert _bits(CompiledPolySet(polys).evaluate(*vals)) == _bits(interpret(polys, vals))
+
+
+def test_alpha_zero_table_has_no_guard():
+    # Folding alpha = 0 drops every negative power, and the guard with them.
+    polys = _deformed_polys(Rational(0))
+    vals = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+    assert _bits(CompiledPolySet(polys).evaluate(*vals)) == _bits(interpret(polys, vals))
