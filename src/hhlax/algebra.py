@@ -5,11 +5,19 @@ rationals, exponents are signed integers (Laurent monomials over a fixed set
 of eight variables), and every operation returns a new value.  All structural
 identities of the library are proven on this layer, so there is deliberately
 no floating point anywhere except the final numeric substitution helper.
+
+Every stored coefficient is a nonzero `Fraction` in normal form.  Products
+do their arithmetic on integers: each factor is written as integer
+numerators over the LCM of its denominators, the numerator products are
+summed per monomial, and each result coefficient is normalised once, as one
+`Fraction`, instead of once per pair of terms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from enum import IntEnum
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -74,9 +82,9 @@ class DivisionByZero(ZeroDivisionError):
 
 
 def _coeff(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
 
@@ -106,9 +114,7 @@ class LaurentPoly:
                     raise ValueError(f"monomial must have {N_VARS} exponents, got {len(mono)}")
                 coeff = _coeff(value)
                 if coeff:
-                    normalized[mono] = normalized.get(mono, Fraction(0)) + coeff
-                    if not normalized[mono]:
-                        del normalized[mono]
+                    _accumulate(normalized, mono, coeff)
         self._terms = normalized
         self._hash: int | None = None
 
@@ -197,11 +203,7 @@ class LaurentPoly:
             return NotImplemented
         result = dict(self._terms)
         for mono, coeff in other._terms.items():
-            total = result.get(mono, Fraction(0)) + coeff
-            if total:
-                result[mono] = total
-            else:
-                result.pop(mono, None)
+            _accumulate(result, mono, coeff)
         return LaurentPoly._raw(result)
 
     __radd__ = __add__
@@ -225,16 +227,40 @@ class LaurentPoly:
         other = as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        result: dict[Monomial, Fraction] = {}
-        for mono_a, coeff_a in self._terms.items():
-            for mono_b, coeff_b in other._terms.items():
-                mono = tuple(a + b for a, b in zip(mono_a, mono_b))
-                total = result.get(mono, Fraction(0)) + coeff_a * coeff_b
-                if total:
-                    result[mono] = total
-                else:
-                    del result[mono]
-        return LaurentPoly._raw(result)
+        if len(self._terms) == 1:
+            return other._shifted(*next(iter(self._terms.items())))
+        if len(other._terms) == 1:
+            return self._shifted(*next(iter(other._terms.items())))
+        den_a, terms_a = _integer_form(self._terms)
+        den_b, terms_b = _integer_form(other._terms)
+        sums: dict[Monomial, int] = {}
+        get = sums.get
+        add = operator.add
+        for mono_a, num_a in terms_a:
+            for mono_b, num_b in terms_b:
+                mono = tuple(map(add, mono_a, mono_b))
+                sums[mono] = get(mono, 0) + num_a * num_b
+        den = den_a * den_b
+        return LaurentPoly._raw({mono: Fraction(num, den) for mono, num in sums.items() if num})
+
+    def _shifted(self, shift: Monomial, scale: Fraction) -> "LaurentPoly":
+        # Product with the single term scale * shift.  Shifting keeps the
+        # monomials distinct, so no two terms collect and none cancels.
+        if scale == 1:
+            if shift == _UNIT_MONOMIAL:
+                return self
+            return LaurentPoly._raw(
+                {tuple(map(operator.add, mono, shift)): coeff for mono, coeff in self._terms.items()}
+            )
+        num, den = scale.numerator, scale.denominator
+        return LaurentPoly._raw(
+            {
+                tuple(map(operator.add, mono, shift)): Fraction(
+                    coeff.numerator * num, coeff.denominator * den
+                )
+                for mono, coeff in self._terms.items()
+            }
+        )
 
     __rmul__ = __mul__
 
@@ -283,27 +309,31 @@ class LaurentPoly:
             n = mono[var]
             if n == 0:
                 continue
-            lowered = tuple(e - 1 if i == var else e for i, e in enumerate(mono))
-            result[lowered] = coeff * n
+            lowered = list(mono)
+            lowered[var] = n - 1
+            result[tuple(lowered)] = coeff * n
         return LaurentPoly._raw(result)
 
     def substitute_rational(self, var: VarId, value: Scalar) -> "LaurentPoly":
         """Exactly substitute a rational value for one variable."""
         value = _coeff(value)
+        powers: dict[int, Fraction] = {}
         result: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
             n = mono[var]
-            if n < 0 and not value:
-                raise DivisionByZero(f"{var.symbol} = 0 but appears with exponent {n}")
-            scaled = coeff * value**n
-            if not scaled:
-                continue
-            reduced = tuple(0 if i == var else e for i, e in enumerate(mono))
-            total = result.get(reduced, Fraction(0)) + scaled
-            if total:
-                result[reduced] = total
-            else:
-                del result[reduced]
+            if n:
+                if n < 0 and not value:
+                    raise DivisionByZero(f"{var.symbol} = 0 but appears with exponent {n}")
+                power = powers.get(n)
+                if power is None:
+                    power = powers[n] = value**n
+                if not power:
+                    continue
+                coeff = coeff * power
+                reduced = list(mono)
+                reduced[var] = 0
+                mono = tuple(reduced)
+            _accumulate(result, mono, coeff)
         return LaurentPoly._raw(result)
 
     # -- comparisons and rendering ------------------------------------
@@ -346,6 +376,28 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+def _accumulate(terms: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
+    """Add the nonzero `coeff` to `terms[mono]` in place, dropping a zero sum."""
+    prior = terms.get(mono)
+    if prior is None:
+        terms[mono] = coeff
+        return
+    total = prior + coeff
+    if total:
+        terms[mono] = total
+    else:
+        del terms[mono]
+
+
+def _integer_form(terms: dict[Monomial, Fraction]) -> tuple[int, list[tuple[Monomial, int]]]:
+    """(D, [(mono, n)]) with each coefficient equal to n / D, D the LCM of the denominators."""
+    # Pairwise: `math.lcm(*denominators)` would build one argument tuple per
+    # call, of every length up to 19, and the interpreter keeps up to 2000
+    # freed tuples of each length, which added megabytes of resident memory.
+    den = functools.reduce(math.lcm, (coeff.denominator for coeff in terms.values()), 1)
+    return den, [(mono, coeff.numerator * (den // coeff.denominator)) for mono, coeff in terms.items()]
 
 
 def as_poly(value) -> LaurentPoly:

@@ -285,7 +285,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (SingularState, StepSizeUnderflow, NonFiniteState) as exc:
-        print(f"integration aborted: {exc}", file=sys.stderr)
+        # `spectral` evaluates the model at one state; it integrates nothing.
+        stage = "evaluation" if args.command == "spectral" else "integration"
+        print(f"{stage} aborted: {exc}", file=sys.stderr)
         return _RUNTIME_ERROR
 
 

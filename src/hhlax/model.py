@@ -119,13 +119,27 @@ def recursion_matrix_inverse() -> PolyMatrix2:
     return adjugate * step.det().inverse_term()
 
 
-@lru_cache(maxsize=None)
+# Every rung built so far, by k.  Rung 0 starts both walks.
+_rungs: dict[int, tuple[LaurentPoly, LaurentPoly]] = {0: (LaurentPoly.zero(), LaurentPoly.one())}
+
+
 def _potential_vector(k: int) -> tuple[LaurentPoly, LaurentPoly]:
-    if k == 0:
-        return (LaurentPoly.zero(), LaurentPoly.one())
-    if k > 0:
-        return recursion_matrix().apply(_potential_vector(k - 1))
-    return recursion_matrix_inverse().apply(_potential_vector(k + 1))
+    # Walk outwards from the built rung nearest to k in a loop: no call
+    # frame is held per rung, so every k stays inside the recursion limit.
+    rung = _rungs.get(k)
+    if rung is not None:
+        return rung
+    outward = 1 if k > 0 else -1
+    built = k - outward
+    while built not in _rungs:
+        built -= outward
+    step = recursion_matrix() if k > 0 else recursion_matrix_inverse()
+    rung = _rungs[built]
+    while built != k:
+        built += outward
+        rung = step.apply(rung)
+        _rungs[built] = rung
+    return rung
 
 
 def potential(k: int) -> PotentialPair:

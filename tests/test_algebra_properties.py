@@ -1,10 +1,13 @@
 """Property-based checks of the algebraic structure (ring and bracket axioms)."""
 
 import math
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhlax.algebra import (
+    DivisionByZero,
     LaurentPoly,
     N_VARS,
     PolyMatrix2,
@@ -26,6 +29,27 @@ monomials = st.tuples(*[st.integers(min_value=-2, max_value=2)] * N_VARS)
 polys = st.dictionaries(monomials, coefficients, max_size=3).map(LaurentPoly)
 
 matrices = st.builds(PolyMatrix2, polys, polys, polys, polys)
+
+# Wider factors for the reference tests: up to 8 terms, denominators up to
+# 12, single terms and scalars, and monomials in x1 and x2 alone, where
+# products collect many terms and sums cancel often.
+wide_coefficients = st.builds(
+    Rational,
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=1, max_value=12),
+)
+nonzero_coefficients = wide_coefficients.filter(bool)
+dense_monomials = st.tuples(
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-2, max_value=2),
+    *[st.just(0)] * (N_VARS - 2),
+)
+wide_monomials = st.one_of(monomials, dense_monomials)
+factors = st.one_of(
+    st.dictionaries(wide_monomials, wide_coefficients, max_size=8).map(LaurentPoly),
+    st.builds(LaurentPoly.term, wide_monomials, nonzero_coefficients),
+    st.builds(LaurentPoly.constant, wide_coefficients),
+)
 
 # Nonzero values keep negative powers well defined during evaluation.
 values = st.floats(min_value=0.5, max_value=2.0).map(lambda v: v if v else 1.0)
@@ -133,3 +157,84 @@ def test_evaluation_is_additive(f, g, point):
     parts = substitute_numeric(f, point) + substitute_numeric(g, point)
     scale = max(1.0, _term_bound(f, point) + _term_bound(g, point))
     assert abs(total - parts) <= 1e-12 * scale
+
+
+def reference_product(f: LaurentPoly, g: LaurentPoly) -> dict:
+    """The term-pair product: one Fraction multiply and add per pair of terms."""
+    result: dict = {}
+    for mono_f, coeff_f in f.items():
+        for mono_g, coeff_g in g.items():
+            mono = tuple(a + b for a, b in zip(mono_f, mono_g))
+            result[mono] = result.get(mono, Fraction(0)) + coeff_f * coeff_g
+    return {mono: coeff for mono, coeff in result.items() if coeff}
+
+
+def reference_sum(f: LaurentPoly, g: LaurentPoly) -> dict:
+    result = dict(f.items())
+    for mono, coeff in g.items():
+        result[mono] = result.get(mono, Fraction(0)) + coeff
+    return {mono: coeff for mono, coeff in result.items() if coeff}
+
+
+def assert_normal_form(f: LaurentPoly) -> None:
+    # An int coefficient would compare equal, but `inverse_term` would turn
+    # its `1 / coeff` into a float.
+    for mono, coeff in f.items():
+        assert type(mono) is tuple and len(mono) == N_VARS
+        assert type(coeff) is Fraction and coeff != 0
+
+
+@given(factors, factors)
+def test_product_matches_term_pair_reference(f, g):
+    product = f * g
+    assert dict(product.items()) == reference_product(f, g)
+    assert_normal_form(product)
+
+
+@given(factors, factors)
+def test_sum_matches_reference(f, g):
+    total = f + g
+    assert dict(total.items()) == reference_sum(f, g)
+    assert_normal_form(total)
+    assert_normal_form(f - g)
+
+
+@given(factors, factors)
+def test_cancelling_products(f, g):
+    assert (f * (g - g)).is_zero
+    product = (f + g) * (f - g)
+    assert dict(product.items()) == reference_product(f + g, f - g)
+    assert product == f * f - g * g
+    assert_normal_form(product)
+
+
+@given(factors, st.integers(min_value=-3, max_value=3), st.sampled_from(list(VarId)))
+def test_scalar_and_variable_products(f, scalar, var):
+    x = LaurentPoly.variable(var)
+    for result in (f * scalar, scalar * f, x * f, f**2):
+        assert_normal_form(result)
+    assert dict((f * scalar).items()) == reference_product(f, LaurentPoly.constant(scalar))
+    assert dict((x * f).items()) == reference_product(x, f)
+
+
+@given(st.builds(LaurentPoly.term, wide_monomials, nonzero_coefficients), factors)
+def test_single_term_inverse(unit, f):
+    inverse = unit.inverse_term()
+    assert_normal_form(inverse)
+    assert unit * inverse == LaurentPoly.one()
+    assert (f * unit) * inverse == f
+
+
+@given(factors, st.sampled_from(list(VarId)), st.one_of(st.just(Rational(0)), wide_coefficients))
+def test_substitution_matches_reference(f, var, value):
+    if not value and any(mono[var] < 0 for mono, _ in f.items()):
+        with pytest.raises(DivisionByZero):
+            f.substitute_rational(var, value)
+        return
+    expected: dict = {}
+    for mono, coeff in f.items():
+        reduced = tuple(0 if i == var else e for i, e in enumerate(mono))
+        expected[reduced] = expected.get(reduced, Fraction(0)) + coeff * value ** mono[var]
+    result = f.substitute_rational(var, value)
+    assert dict(result.items()) == {mono: c for mono, c in expected.items() if c}
+    assert_normal_form(result)

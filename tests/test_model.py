@@ -1,8 +1,11 @@
 """Model objects: potentials, Hamiltonians, vector fields, Lax matrices."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hhlax import model
 from hhlax.algebra import LaurentPoly, N_VARS, Rational, VarId, poisson_bracket
 from hhlax.model import (
     VectorField4,
@@ -73,6 +76,19 @@ class TestPotentialRecursion:
         for component in (pair.v1, pair.v2):
             for var in (VarId.P1, VarId.P2, VarId.T1, VarId.T2, VarId.LAMBDA, VarId.ALPHA):
                 assert not component.depends_on(var)
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_deep_rung_walks_without_recursion(self, k, monkeypatch):
+        # A fresh memo holding rung 0 only: potential(k) then walks all |k|
+        # steps, deeper than the default recursion limit would allow one
+        # call frame per rung.  The memo is restored after the test.
+        monkeypatch.setattr(model, "_rungs", {0: model._rungs[0]})
+        assert sys.getrecursionlimit() <= 1000
+        pair = potential(k)
+        assert len(model._rungs) == abs(k) + 1
+        inward = potential(k - 1 if k > 0 else k + 1)
+        step = recursion_matrix() if k > 0 else recursion_matrix_inverse()
+        assert step.apply((inward.v1, inward.v2)) == (pair.v1, pair.v2)
 
     def test_inverse_matrix_is_exact(self):
         product = recursion_matrix() @ recursion_matrix_inverse()
