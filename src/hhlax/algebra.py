@@ -192,9 +192,6 @@ class LaurentPoly:
             buckets.setdefault(mono[var], {})[reduced] = coeff
         return {power: LaurentPoly._raw(terms) for power, terms in sorted(buckets.items())}
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(_UNIT_MONOMIAL, Fraction(0))
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
@@ -451,11 +448,6 @@ class PolyMatrix2:
         self.e12 = _require_poly(e12)
         self.e21 = _require_poly(e21)
         self.e22 = _require_poly(e22)
-
-    @classmethod
-    def zero(cls) -> "PolyMatrix2":
-        z = LaurentPoly.zero()
-        return cls(z, z, z, z)
 
     @classmethod
     def identity(cls) -> "PolyMatrix2":

@@ -19,7 +19,6 @@ import math
 import sys
 from typing import Sequence
 
-from .algebra import VarId
 from .dynamics import (
     IntegratorConfig,
     NonFiniteState,
@@ -34,7 +33,7 @@ from .dynamics import (
     integrate_pfaffian,
     snapshot,
 )
-from .verify import CHECKS, run_checks, spectral_curve_coefficients
+from .verify import run_checks, spectral_curve_coefficients
 
 _USAGE_ERROR = 2
 _RUNTIME_ERROR = 3
@@ -144,11 +143,10 @@ def _write_svg(trajectory: Trajectory, filename: str, width: int = 640, height: 
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    pattern = args.filter
-    if pattern is not None and not any(pattern in name for name, _ in CHECKS):
-        print(f"no checks match filter {pattern!r}", file=sys.stderr)
+    reports = run_checks(args.filter)
+    if not reports:
+        print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return _USAGE_ERROR
-    reports = run_checks(pattern)
     failures = 0
     for report in reports:
         print(report.describe())
@@ -212,6 +210,9 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     t = _parse_timepoint(args.t)
     lambdas = _parse_floats(args.lambdas, what="lambdas")
     deformed = _parse_bool(args.deformed)
+    # Computed before anything is printed, so a numeric failure leaves no
+    # partial output behind.
+    samples = eigenvalue_samples(deformed, state, t, args.alpha, lambdas)
     print(f"det L(lambda) coefficients ({'deformed' if deformed else 'autonomous'}):")
     for power, coefficient in spectral_curve_coefficients(deformed).items():
         print(f"  lambda^{power}: {coefficient}")
@@ -219,9 +220,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
         f"eigenvalues at state = ({state.x1:g}, {state.x2:g}, {state.p1:g}, {state.p2:g}), "
         f"t = ({t.t1:g}, {t.t2:g}), alpha = {args.alpha:g}:"
     )
-    for lam, (plus, minus) in zip(
-        lambdas, eigenvalue_samples(deformed, state, t, args.alpha, lambdas)
-    ):
+    for lam, (plus, minus) in zip(lambdas, samples):
         print(
             f"  lambda = {lam:g}: {plus.real:.12g}{plus.imag:+.12g}j, "
             f"{minus.real:.12g}{minus.imag:+.12g}j"

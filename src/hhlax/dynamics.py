@@ -29,7 +29,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import LaurentPoly, VarId, substitute_numeric
 from .kernels import CompiledPolySet, SingularState
-from .model import hamiltonian_vector_field, hamiltonians, lax_matrices
+from .model import (
+    hamiltonian_vector_field,
+    hamiltonians,
+    isomonodromy_deformation_term,
+    lax_matrices,
+)
 
 __all__ = [
     "SingularState",
@@ -647,11 +652,8 @@ def check_reparametrization_numeric(
     residual confirms the deformation term turns into a plain mu-derivative
     after the reparametrization.
     """
-    if k not in (1, 2):
-        raise ValueError("flow index must be 1 or 2")
     u_matrix = lax_matrices(True).flow_matrix(k)
-    lam_poly = LaurentPoly.variable(VarId.LAMBDA)
-    target_matrix = u_matrix.map(lambda entry: 2 * lam_poly * entry.diff(VarId.LAMBDA))
+    target_matrix = isomonodromy_deformation_term(u_matrix)
     base_point = {
         VarId.X1: state.x1,
         VarId.X2: state.x2,

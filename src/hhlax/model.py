@@ -26,6 +26,8 @@ __all__ = [
     "hamiltonians",
     "hamiltonian_vector_field",
     "lax_matrices",
+    "isomonodromy_deformation_term",
+    "derivative_along",
     "lie_bracket",
 ]
 
@@ -63,11 +65,6 @@ class VectorField4:
     def __post_init__(self):
         if len(self.components) != 4:
             raise ValueError("a phase-space vector field has exactly 4 components")
-
-    @classmethod
-    def zero(cls) -> "VectorField4":
-        z = LaurentPoly.zero()
-        return cls((z, z, z, z))
 
     @property
     def is_zero(self) -> bool:
@@ -197,59 +194,50 @@ def hamiltonian_vector_field(hamiltonian: LaurentPoly) -> VectorField4:
 def lax_matrices(deformed: bool = False) -> LaxTriple:
     """The Lax matrix L(lambda) and flow matrices U1, U2.
 
-    The deformed variant carries the extra potential terms with coefficients
-    3 t2 and t1 + 3 t2^2; at t1 = t2 = 0 it coincides with the autonomous
-    triple.
+    One formula serves both systems: time enters only through the deformation
+    coefficients c2 = t1 + 3 t2^2 and c3 = 3 t2, which are zero for the
+    autonomous triple, so at t1 = t2 = 0 the deformed triple is the
+    autonomous one by construction.
     """
+    c2, c3 = deformation_coefficients() if deformed else (0, 0)
     diagonal = p1 * lam + _HALF * x2 * p2
     upper = lam**2 - x1 * lam - _QUARTER * x2**2
-    if not deformed:
-        lower = (
-            -2 * lam**3
-            - 2 * x1 * lam**2
-            - (2 * x1**2 + _HALF * x2**2) * lam
-            + p2**2
-            + 2 * alpha / x2**2
-        )
-        u1 = PolyMatrix2(0, _HALF, -lam - 2 * x1, 0)
-        u2 = PolyMatrix2(
-            _HALF * p1,
-            _HALF * lam - _HALF * x1,
-            -(lam**2) - x1 * lam - x1**2 - _HALF * x2**2,
-            -_HALF * p1,
-        )
-    else:
-        lower = (
-            -2 * lam**3
-            - 2 * (x1 + 3 * t2) * lam**2
-            - (2 * x1**2 + _HALF * x2**2 + 6 * x1 * t2 + 6 * t2**2 + 2 * t1) * lam
-            + p2**2
-            + 2 * alpha / x2**2
-        )
-        u1 = PolyMatrix2(0, _HALF, -lam - 2 * x1 - 3 * t2, 0)
-        u2 = PolyMatrix2(
-            _HALF * p1,
-            _HALF * lam - _HALF * x1,
-            -(lam**2)
-            - (x1 + 3 * t2) * lam
-            - x1**2
-            - _HALF * x2**2
-            - 3 * x1 * t2
-            - 3 * t2**2
-            - t1,
-            -_HALF * p1,
-        )
+    lower = (
+        -2 * lam**3
+        - 2 * (x1 + c3) * lam**2
+        - (2 * x1**2 + _HALF * x2**2 + 2 * c3 * x1 + 2 * c2) * lam
+        + p2**2
+        + 2 * alpha / x2**2
+    )
     big_l = PolyMatrix2(diagonal, upper, lower, -diagonal)
+    u1 = PolyMatrix2(0, _HALF, -lam - 2 * x1 - c3, 0)
+    u2 = PolyMatrix2(
+        _HALF * p1,
+        _HALF * lam - _HALF * x1,
+        -(lam**2) - (x1 + c3) * lam - x1**2 - _HALF * x2**2 - c3 * x1 - c2,
+        -_HALF * p1,
+    )
     return LaxTriple(big_l, u1, u2, deformed)
 
 
+def isomonodromy_deformation_term(u_matrix: PolyMatrix2) -> PolyMatrix2:
+    """2 lambda dU/dlambda: the term the isomonodromic Lax equation adds."""
+    return u_matrix.map(lambda entry: 2 * lam * entry.diff(VarId.LAMBDA))
+
+
+def derivative_along(f: LaurentPoly, field: VectorField4) -> LaurentPoly:
+    """D_Y f = sum_j Y^j d_j f over the phase variables."""
+    acc = LaurentPoly.zero()
+    for component, var in zip(field.components, PHASE_VARS):
+        acc = acc + component * f.diff(var)
+    return acc
+
+
 def lie_bracket(field_y: VectorField4, field_z: VectorField4) -> VectorField4:
-    """[Y, Z]^i = sum_j (Y^j d_j Z^i - Z^j d_j Y^i) over the phase variables."""
-    components = []
-    for i in range(4):
-        acc = LaurentPoly.zero()
-        for j, var in enumerate(PHASE_VARS):
-            acc = acc + field_y.components[j] * field_z.components[i].diff(var)
-            acc = acc - field_z.components[j] * field_y.components[i].diff(var)
-        components.append(acc)
-    return VectorField4(tuple(components))
+    """[Y, Z]^i = D_Y Z^i - D_Z Y^i."""
+    return VectorField4(
+        tuple(
+            derivative_along(z, field_y) - derivative_along(y, field_z)
+            for y, z in zip(field_y.components, field_z.components)
+        )
+    )

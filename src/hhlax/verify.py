@@ -22,13 +22,14 @@ from .algebra import (
     poisson_bracket,
 )
 from .model import (
-    PHASE_VARS,
     HamiltonianSet,
     LaxTriple,
     VectorField4,
     deformation_coefficients,
+    derivative_along,
     hamiltonian_vector_field,
     hamiltonians,
+    isomonodromy_deformation_term,
     lax_matrices,
     lie_bracket,
 )
@@ -85,16 +86,12 @@ class IdentityReport:
         return payload
 
 
-def _flow_derivative(matrix: PolyMatrix2, field: VectorField4) -> PolyMatrix2:
-    """Entrywise derivative of `matrix` along `field` (chain rule over phase space)."""
-
-    def transport(entry: LaurentPoly) -> LaurentPoly:
-        acc = LaurentPoly.zero()
-        for j, var in enumerate(PHASE_VARS):
-            acc = acc + entry.diff(var) * field.components[j]
-        return acc
-
-    return matrix.map(transport)
+def _lax_defect(k: int, triple: LaxTriple, hams: HamiltonianSet) -> PolyMatrix2:
+    """D_{Y_k} L - [U_k, L]: the derivative of L along flow k minus the commutator."""
+    u_matrix = triple.flow_matrix(k)  # rejects a flow index other than 1 or 2
+    field = hamiltonian_vector_field(hams.h1 if k == 1 else hams.h2)
+    transported = triple.L.map(lambda entry: derivative_along(entry, field))
+    return transported - mat_commutator(u_matrix, triple.L)
 
 
 def check_involution(hams: HamiltonianSet | None = None) -> IdentityReport:
@@ -132,17 +129,8 @@ def check_isospectral_lax(
     hams: HamiltonianSet | None = None,
 ) -> IdentityReport:
     """Derivative of L along flow k must equal [U_k, L] (autonomous triple)."""
-    if k not in (1, 2):
-        raise ValueError("flow index must be 1 or 2")
-    triple = triple or lax_matrices(False)
-    hams = hams or hamiltonians(False)
-    field = hamiltonian_vector_field(hams.h1 if k == 1 else hams.h2)
-    residual = _flow_derivative(triple.L, field) - mat_commutator(triple.flow_matrix(k), triple.L)
+    residual = _lax_defect(k, triple or lax_matrices(False), hams or hamiltonians(False))
     return IdentityReport(f"isospectral_lax_t{k}", residual, residual.is_zero)
-
-
-def _isomonodromy_deformation_term(u_matrix: PolyMatrix2) -> PolyMatrix2:
-    return u_matrix.map(lambda entry: 2 * _lam * entry.diff(VarId.LAMBDA))
 
 
 # The two defect matrices the deformed system must produce, transcribed in
@@ -163,25 +151,17 @@ def check_isomonodromic_lax(
 ) -> IdentityReport:
     """Full time derivative of L minus [U_k, L] minus 2 lambda dU_k/dlambda
     must vanish; the intermediate defect must match its closed form."""
-    if k not in (1, 2):
-        raise ValueError("flow index must be 1 or 2")
     triple = triple or lax_matrices(True)
-    hams = hams or hamiltonians(True)
+    defect = _lax_defect(k, triple, hams or hamiltonians(True))
     t_var = VarId.T1 if k == 1 else VarId.T2
-    field = hamiltonian_vector_field(hams.h1 if k == 1 else hams.h2)
-    u_matrix = triple.flow_matrix(k)
-
-    total_derivative = triple.L.map(lambda entry: entry.diff(t_var)) + _flow_derivative(
-        triple.L, field
-    )
-    intermediate = total_derivative - mat_commutator(u_matrix, triple.L)
-    residual = intermediate - _isomonodromy_deformation_term(u_matrix)
-    passed = residual.is_zero and intermediate == _expected_defect(k)
+    intermediate = triple.L.map(lambda entry: entry.diff(t_var)) + defect
+    residual = intermediate - isomonodromy_deformation_term(triple.flow_matrix(k))
+    expected = _expected_defect(k)
     return IdentityReport(
         f"isomonodromic_lax_t{k}",
         residual,
-        passed,
-        expected=_expected_defect(k),
+        residual.is_zero and intermediate == expected,
+        expected=expected,
         intermediate=intermediate,
     )
 

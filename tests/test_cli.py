@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -12,6 +14,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hhlax
 from hhlax import dynamics
 from hhlax.cli import main
 from hhlax.model import potential
@@ -23,10 +26,22 @@ def run_cli(*args, capsys):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*args):
+# Child interpreters import the same hhlax as this process, installed or not.
+_PACKAGE_ROOT = str(pathlib.Path(hhlax.__file__).resolve().parent.parent)
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")])),
+}
+
+
+def run_python(*args):
     return subprocess.run(
-        [sys.executable, "-m", "hhlax", *args], capture_output=True, text=True
+        [sys.executable, *args], capture_output=True, text=True, env=_CHILD_ENV
     )
+
+
+def run_subprocess(*args):
+    return run_python("-m", "hhlax", *args)
 
 
 class TestVerifyCommand:
@@ -261,8 +276,9 @@ def test_bad_number_exits_2(argv, tmp_path, capsys, monkeypatch):
 def test_numeric_failure_exits_3(argv, message, tmp_path, capsys):
     if argv[0] != "spectral":
         argv = argv + ["--out", str(tmp_path / "out.csv")]
-    code, _, err = run_cli(*argv, capsys=capsys)
+    code, out, err = run_cli(*argv, capsys=capsys)
     assert code == 3
+    assert out == ""
     # `spectral` integrates nothing, so its failures are not reported as such.
     prefix = "evaluation aborted: " if argv[0] == "spectral" else "integration aborted: "
     assert err.startswith(prefix) and message in err
@@ -406,9 +422,6 @@ class TestUsage:
         assert "verify" in result.stdout
 
     def test_import_leaves_numpy_out(self):
-        result = subprocess.run(
-            [sys.executable, "-c", "import sys, hhlax.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True,
-        )
+        result = run_python("-c", "import sys, hhlax.cli; print('numpy' in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from hhlax.algebra import LaurentPoly, N_VARS, Rational, VarId, poisson_bracket
 from hhlax.model import (
     VectorField4,
     deformation_coefficients,
+    derivative_along,
     hamiltonian_vector_field,
     hamiltonians,
     lax_matrices,
@@ -214,6 +215,29 @@ class TestLaxMatrices:
             triple.flow_matrix(3)
 
 
+def _model_object_lines():
+    """One `name = str(object)` line per model object, autonomous then deformed."""
+    for deformed in (False, True):
+        tag = "deformed" if deformed else "autonomous"
+        hams, triple = hamiltonians(deformed), lax_matrices(deformed)
+        objects = [("h1", hams.h1), ("h2", hams.h2)]
+        for name in ("L", "U1", "U2"):
+            matrix = getattr(triple, name)
+            for position, entry in zip(("11", "12", "21", "22"), matrix.entries()):
+                objects.append((f"{name}.e{position}", entry))
+        objects.append(("det L", triple.L.det()))
+        for k, h in ((1, hams.h1), (2, hams.h2)):
+            for i, component in enumerate(hamiltonian_vector_field(h).components):
+                objects.append((f"Y{k}[{i}]", component))
+        for name, value in objects:
+            yield f"{tag} {name} = {value}\n"
+
+
+def test_model_objects_golden(golden_dir):
+    # Every Hamiltonian, Lax entry, det L and field component, as rendered.
+    assert "".join(_model_object_lines()) == (golden_dir / "model_objects.txt").read_text()
+
+
 class TestLieBracket:
     def test_self_bracket_vanishes(self):
         field = hamiltonian_vector_field(hamiltonians(False).h1)
@@ -263,3 +287,10 @@ def test_lie_bracket_jacobi(a, b, c):
         + lie_bracket(lie_bracket(c, a), b)
     )
     assert total.is_zero
+
+
+@settings(max_examples=40)
+@given(_phase_polys, _phase_polys)
+def test_derivative_along_hamiltonian_field_is_poisson_bracket(f, h):
+    # d/dt f along the flow of h is {f, h}, computed independently.
+    assert derivative_along(f, hamiltonian_vector_field(h)) == poisson_bracket(f, h)
