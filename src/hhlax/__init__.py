@@ -10,13 +10,11 @@ Pfaffian system with conservation and path-independence diagnostics.
 from .algebra import (
     DivisionByZero,
     LaurentPoly,
-    MissingAssignment,
     PolyMatrix2,
     Rational,
     VarId,
     mat_commutator,
     poisson_bracket,
-    substitute_numeric,
 )
 from .model import (
     HamiltonianSet,

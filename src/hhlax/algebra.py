@@ -4,7 +4,8 @@ Everything here is exact and immutable.  Coefficients are arbitrary-precision
 rationals, exponents are signed integers (Laurent monomials over a fixed set
 of eight variables), and every operation returns a new value.  All structural
 identities of the library are proven on this layer, so there is deliberately
-no floating point anywhere except the final numeric substitution helper.
+no floating point anywhere: numbers are evaluated by the generated kernels
+of `hhlax.kernels`.
 
 Every stored coefficient is a nonzero `Fraction` in normal form.  Products
 do their arithmetic on integers: each factor is written as integer
@@ -29,11 +30,9 @@ __all__ = [
     "Monomial",
     "LaurentPoly",
     "PolyMatrix2",
-    "MissingAssignment",
     "DivisionByZero",
     "as_poly",
     "poisson_bracket",
-    "substitute_numeric",
     "mat_commutator",
 ]
 
@@ -71,10 +70,6 @@ _UNIT_MONOMIAL: Monomial = (0,) * N_VARS
 _PHASE_PAIRS = ((VarId.X1, VarId.P1), (VarId.X2, VarId.P2))
 
 Scalar = Union[int, Fraction]
-
-
-class MissingAssignment(LookupError):
-    """A variable occurring in the polynomial was not assigned a value."""
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -412,30 +407,6 @@ def poisson_bracket(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     for q, p in _PHASE_PAIRS:
         acc = acc + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
     return acc
-
-
-def substitute_numeric(f: LaurentPoly, point: Mapping[VarId, float]) -> float:
-    """Evaluate at a float point; exact coefficients are converted last.
-
-    Every variable occurring with nonzero exponent must be assigned, and a
-    variable occurring with a negative exponent must be assigned a nonzero
-    value.
-    """
-    contributions = []
-    for mono, coeff in f._terms.items():
-        product = 1.0
-        for var, exp in enumerate(mono):
-            if exp == 0:
-                continue
-            key = VarId(var)
-            if key not in point:
-                raise MissingAssignment(f"no value assigned to {key.symbol}")
-            value = float(point[key])
-            if exp < 0 and value == 0.0:
-                raise DivisionByZero(f"{key.symbol} = 0 but appears with exponent {exp}")
-            product *= value**exp
-        contributions.append(float(coeff) * product)
-    return math.fsum(contributions)
 
 
 class PolyMatrix2:

@@ -125,15 +125,14 @@ def _export(trajectory: Trajectory, args: argparse.Namespace) -> None:
 
 
 def _write_svg(trajectory: Trajectory, filename: str, width: int = 640, height: int = 360) -> None:
-    points = [(sample.s, sample.state.x1) for sample in trajectory.samples]
-    s_values = [p[0] for p in points]
-    x_values = [p[1] for p in points]
+    s_values = [row[0] for row in trajectory.rows()]
+    x_values = [row[3] for row in trajectory.rows()]
     s_span = (max(s_values) - min(s_values)) or 1.0
     x_span = (max(x_values) - min(x_values)) or 1.0
     pairs = " ".join(
         f"{(s - min(s_values)) / s_span * width:.2f},"
         f"{height - (x - min(x_values)) / x_span * height:.2f}"
-        for s, x in points
+        for s, x in zip(s_values, x_values)
     )
     with open(filename, "w") as stream:
         stream.write(

@@ -5,20 +5,21 @@ system is integrated as a Pfaffian system along piecewise-linear paths in
 the (t1, t2) plane, each segment parameterized by arclength with the two
 Hamiltonian fields combined by the segment direction.  Per-sample
 diagnostics record the Hamiltonian values and eigenvalues of the Lax matrix
-at configurable spectral-parameter samples.
+at configurable spectral-parameter samples; a trajectory keeps one row of
+floats per sample, in the column order of its CSV/JSON export.
 
 Integrators: classic fixed-step RK4 and an adaptive Dormand-Prince 5(4)
 pair, both on plain 4-float tuples with the stage sums written out.
 Right-hand sides and diagnostics are the generated functions of
 `hhlax.kernels`, with the runtime value of alpha folded exactly into the
-polynomials beforehand; the generated code refuses the x2 = 0 singular set
-itself.  A run keeps no shared mutable state, so independent integrations
-may proceed in parallel.
+polynomials beforehand: one function per field, and one per (model, alpha,
+lambdas) for the whole diagnostics row.  The generated code refuses the
+x2 = 0 singular set itself.  A run keeps no shared mutable state, so
+independent integrations may proceed in parallel.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import json
 import math
@@ -27,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import LaurentPoly, VarId, substitute_numeric
-from .kernels import CompiledPolySet, SingularState
+from .algebra import LaurentPoly, VarId
+from .kernels import CompiledPolySet, NonFiniteState, SingularState, compile_diagnostics
 from .model import (
     hamiltonian_vector_field,
     hamiltonians,
@@ -65,11 +66,6 @@ _MAX_STEPS = 10**6
 class StepSizeUnderflow(RuntimeError):
     """The adaptive integrator could not meet the tolerance with any
     representable step (typically a finite-time blow-up)."""
-
-
-class NonFiniteState(RuntimeError):
-    """A step was accepted with an infinite or NaN state component
-    (a fixed step stepping through a blow-up)."""
 
 
 # (x1, x2, p1, p2), the stepper's working form of a PhaseState.
@@ -155,40 +151,72 @@ class TrajectorySample:
     eigenvalues: tuple[complex, ...]
 
 
+# Row layout: s, t1, t2, x1, x2, p1, p2, h1, h2, then re, im per lambda.
+_H1, _H2, _EIG = 7, 8, 9
+
+
+def _sample(row: list[float]) -> TrajectorySample:
+    eigenvalues = tuple(complex(row[j], row[j + 1]) for j in range(_EIG, len(row), 2))
+    return TrajectorySample(
+        row[0], TimePoint(row[1], row[2]), PhaseState(*row[3:7]), row[_H1], row[_H2], eigenvalues
+    )
+
+
+class _Samples(Sequence[TrajectorySample]):
+    """A trajectory's rows as TrajectorySample objects, each built when read."""
+
+    def __init__(self, rows: list[list[float]]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_sample(row) for row in self._rows[index]]
+        return _sample(self._rows[index])
+
+
 @dataclass
 class Trajectory:
-    samples: list[TrajectorySample]
+    """One row per sample, in the column order of `column_names()`."""
+
+    _rows: list[list[float]]
     lambdas: tuple[float, ...] = (0.5, 1.0, 2.0)
 
     @property
+    def samples(self) -> Sequence[TrajectorySample]:
+        return _Samples(self._rows)
+
+    @property
     def final_state(self) -> PhaseState:
-        return self.samples[-1].state
+        return PhaseState(*self._rows[-1][3:7])
 
     @property
     def final_time(self) -> TimePoint:
-        return self.samples[-1].t
+        return TimePoint(*self._rows[-1][1:3])
+
+    def _column_drift(self, column: int) -> float:
+        first = self._rows[0][column]
+        return max(abs(row[column] - first) for row in self._rows)
 
     def h1_drift(self) -> float:
-        first = self.samples[0].h1
-        return max(abs(sample.h1 - first) for sample in self.samples)
+        return self._column_drift(_H1)
 
     def h2_drift(self) -> float:
-        first = self.samples[0].h2
-        return max(abs(sample.h2 - first) for sample in self.samples)
+        return self._column_drift(_H2)
 
     def eigenvalue_drift(self) -> float:
-        first = self.samples[0].eigenvalues
-        if not first:
-            return 0.0
+        first = self._rows[0]
+        references = [(j, complex(first[j], first[j + 1])) for j in range(_EIG, len(first), 2)]
         return max(
-            abs(value - ref)
-            for sample in self.samples
-            for value, ref in zip(sample.eigenvalues, first)
+            (abs(complex(row[j], row[j + 1]) - ref) for row in self._rows for j, ref in references),
+            default=0.0,
         )
 
     def summary(self) -> dict:
         return {
-            "samples": len(self.samples),
+            "samples": len(self._rows),
             "h1_drift": self.h1_drift(),
             "h2_drift": self.h2_drift(),
             "eigenvalue_drift": self.eigenvalue_drift(),
@@ -203,34 +231,21 @@ class Trajectory:
             names.append(f"eig_im_{lam:g}")
         return names
 
-    def rows(self) -> Iterable[list[float]]:
-        for sample in self.samples:
-            row = [
-                sample.s,
-                sample.t.t1,
-                sample.t.t2,
-                sample.state.x1,
-                sample.state.x2,
-                sample.state.p1,
-                sample.state.p2,
-                sample.h1,
-                sample.h2,
-            ]
-            for value in sample.eigenvalues:
-                row.append(value.real)
-                row.append(value.imag)
-            yield row
+    def rows(self) -> Sequence[list[float]]:
+        """The stored rows themselves (not copies)."""
+        return self._rows
 
     def write_csv(self, stream) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(self.column_names())
-        for row in self.rows():
-            writer.writerow([repr(value) for value in row])
+        for row in self._rows:
+            writer.writerow(map(repr, row))
 
     def to_json_dict(self) -> dict:
+        """Columns, rows (the stored lists themselves) and summary."""
         return {
             "columns": self.column_names(),
-            "rows": [list(row) for row in self.rows()],
+            "rows": self._rows,
             "summary": self.summary(),
         }
 
@@ -248,31 +263,44 @@ Evaluate = Callable[..., tuple[float, ...]]
 class _Tables(NamedTuple):
     field1: Evaluate  # Y_1, 4 components
     field2: Evaluate  # Y_2, 4 components
-    hamiltonians: Evaluate  # (h1, h2)
-    det: Evaluate  # (det L(lambda),)
+    diagnostics: tuple[LaurentPoly, LaurentPoly, LaurentPoly]  # h1, h2, det L(lambda)
 
 
 @lru_cache(maxsize=None)
 def _tables(deformed: bool, alpha: float) -> _Tables:
-    """The generated functions of one model with alpha folded in."""
+    """The generated fields of one model and its diagnostics polynomials,
+    with alpha folded in."""
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     # Fraction(float) is exact, so folding loses nothing and alpha = 0
     # removes the singular terms, and with them the generated guard.
     value = Fraction(alpha)
 
-    def compile_folded(polys: Iterable[LaurentPoly]) -> Evaluate:
-        return CompiledPolySet([p.substitute_rational(VarId.ALPHA, value) for p in polys]).evaluate
+    def fold(polys: Iterable[LaurentPoly]) -> list[LaurentPoly]:
+        return [p.substitute_rational(VarId.ALPHA, value) for p in polys]
 
     hams = hamiltonians(deformed)
+    h1, h2, det = fold((hams.h1, hams.h2, lax_matrices(deformed).L.det()))
     try:
         return _Tables(
-            compile_folded(hamiltonian_vector_field(hams.h1).components),
-            compile_folded(hamiltonian_vector_field(hams.h2).components),
-            compile_folded((hams.h1, hams.h2)),
-            compile_folded((lax_matrices(deformed).L.det(),)),
+            CompiledPolySet(fold(hamiltonian_vector_field(hams.h1).components)).evaluate,
+            CompiledPolySet(fold(hamiltonian_vector_field(hams.h2).components)).evaluate,
+            (h1, h2, det),
         )
     except OverflowError as exc:  # a folded coefficient beyond the float range
+        raise ValueError(f"alpha = {alpha!r} is too large for the float kernels") from exc
+
+
+def _diagnostics(deformed: bool, alpha: float, lambdas: Iterable[float]) -> Callable[..., list]:
+    """The generated diagnostics row of one model, alpha and lambda samples."""
+    return _compiled_diagnostics(deformed, float(alpha), tuple(map(float, lambdas)))
+
+
+@lru_cache(maxsize=64)
+def _compiled_diagnostics(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> Callable[..., list]:
+    try:
+        return compile_diagnostics(*_tables(deformed, alpha).diagnostics, lambdas)
+    except OverflowError as exc:
         raise ValueError(f"alpha = {alpha!r} is too large for the float kernels") from exc
 
 
@@ -465,42 +493,6 @@ def _integrate_ode(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) ->
 # -- public integration ---------------------------------------------------
 
 
-def _eigenvalues(
-    det: Evaluate, y: State4, t1v: float, t2v: float, alpha: float, lambdas: Sequence[float]
-) -> tuple[complex, ...]:
-    """sqrt(-det L(lambda_j)), one branch of each eigenvalue pair."""
-    x1, x2, p1, p2 = y
-    roots = []
-    for lam in lambdas:
-        value = det(x1, x2, p1, p2, t1v, t2v, lam, alpha)[0]
-        if not math.isfinite(value):
-            raise NonFiniteState(f"det L({lam!r}) = {value!r} is not finite at state {y!r}")
-        roots.append(cmath.sqrt(complex(-value)))
-    return tuple(roots)
-
-
-def _diagnose(
-    raw: list[tuple[float, float, float, State4]],
-    deformed: bool,
-    cfg: IntegratorConfig,
-) -> Trajectory:
-    tables = _tables(deformed, cfg.alpha)
-    hamiltonian, det = tables.hamiltonians, tables.det
-    alpha, lambdas = cfg.alpha, cfg.lambdas
-    isfinite = math.isfinite
-    samples = []
-    for s, t1v, t2v, y in raw:
-        x1, x2, p1, p2 = y
-        h1v, h2v = hamiltonian(x1, x2, p1, p2, t1v, t2v, 1.0, alpha)
-        if not (isfinite(h1v) and isfinite(h2v)):
-            raise NonFiniteState(f"h1 = {h1v!r}, h2 = {h2v!r} are not finite at s = {s!r}")
-        eigenvalues = _eigenvalues(det, y, t1v, t2v, alpha, lambdas)
-        samples.append(
-            TrajectorySample(s, TimePoint(t1v, t2v), PhaseState(x1, x2, p1, p2), h1v, h2v, eigenvalues)
-        )
-    return Trajectory(samples, lambdas)
-
-
 def snapshot(
     deformed: bool, state: PhaseState, t: TimePoint, cfg: IntegratorConfig | None = None
 ) -> Trajectory:
@@ -508,7 +500,8 @@ def snapshot(
     cfg = cfg or IntegratorConfig()
     if not (math.isfinite(t.t1) and math.isfinite(t.t2)):
         raise ValueError(f"time must be finite, got {t}")
-    return _diagnose([(0.0, t.t1, t.t2, _initial_state(state))], deformed, cfg)
+    diag = _diagnostics(deformed, cfg.alpha, cfg.lambdas)
+    return Trajectory([diag(0.0, t.t1, t.t2, _initial_state(state))], cfg.lambdas)
 
 
 def integrate_autonomous(
@@ -529,16 +522,13 @@ def integrate_autonomous(
     tables = _tables(False, cfg.alpha)
     field = tables.field1 if k == 1 else tables.field2
     alpha = cfg.alpha
+    diag = _diagnostics(False, alpha, cfg.lambdas)
 
     def rhs(s: float, x1: float, x2: float, p1: float, p2: float) -> State4:
         return field(x1, x2, p1, p2, 0.0, 0.0, 1.0, alpha)
 
     steps = _integrate_ode(rhs, duration, y0, cfg)
-    raw = [
-        (s, s if k == 1 else 0.0, s if k == 2 else 0.0, y)
-        for s, y in steps
-    ]
-    return _diagnose(raw, False, cfg)
+    return Trajectory([diag(s, s if k == 1 else 0.0, s if k == 2 else 0.0, y) for s, y in steps], cfg.lambdas)
 
 
 def _segment_rhs(tables: _Tables, alpha: float, start: TimePoint, w1: float, w2: float) -> Rhs:
@@ -588,6 +578,7 @@ def integrate_pfaffian(
     for start, stop in path.segments():
         _check_step_budget(math.hypot(stop.t1 - start.t1, stop.t2 - start.t2), cfg.max_step)
     tables = _tables(deformed, cfg.alpha)
+    diag = _diagnostics(deformed, cfg.alpha, cfg.lambdas)
 
     s_offset = 0.0
     raw: list[tuple[float, float, float, State4]] = [(0.0, t0.t1, t0.t2, y)]
@@ -598,17 +589,10 @@ def integrate_pfaffian(
         steps = _integrate_ode(rhs, length, y, cfg)
         for s, y_step in steps[1:]:
             fraction = s / length
-            raw.append(
-                (
-                    s_offset + s,
-                    start.t1 + d1 * fraction,
-                    start.t2 + d2 * fraction,
-                    y_step,
-                )
-            )
+            raw.append((s_offset + s, start.t1 + d1 * fraction, start.t2 + d2 * fraction, y_step))
         y = steps[-1][1]
         s_offset += length
-    return _diagnose(raw, deformed, cfg)
+    return Trajectory([diag(s, t1v, t2v, y) for s, t1v, t2v, y in raw], cfg.lambdas)
 
 
 def check_flow_commutation_numeric(
@@ -632,10 +616,9 @@ def eigenvalue_samples(
     lambdas: Sequence[float],
 ) -> list[tuple[complex, complex]]:
     """Eigenvalue pairs +-sqrt(-det L(lambda_j)) of the traceless Lax matrix."""
-    det = _tables(deformed, float(alpha)).det
-    y = (state.x1, state.x2, state.p1, state.p2)
-    roots = _eigenvalues(det, y, t.t1, t.t2, alpha, lambdas)
-    return [(root, -root) for root in roots]
+    diag = _diagnostics(deformed, alpha, lambdas)
+    row = diag(0.0, t.t1, t.t2, (state.x1, state.x2, state.p1, state.p2))
+    return [(root, -root) for root in _sample(row).eigenvalues]
 
 
 def check_reparametrization_numeric(
@@ -654,27 +637,14 @@ def check_reparametrization_numeric(
     """
     u_matrix = lax_matrices(True).flow_matrix(k)
     target_matrix = isomonodromy_deformation_term(u_matrix)
-    base_point = {
-        VarId.X1: state.x1,
-        VarId.X2: state.x2,
-        VarId.P1: state.p1,
-        VarId.P2: state.p2,
-        VarId.T1: t.t1,
-        VarId.T2: t.t2,
-        VarId.ALPHA: 0.0,
-    }
+    # U_k is free of alpha and of negative powers, so its kernel has no guard.
+    evaluate = CompiledPolySet([*u_matrix.entries(), *target_matrix.entries()]).evaluate
+    point = (state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
     worst = 0.0
     for mu in mu_samples:
-        for entry, target in zip(u_matrix.entries(), target_matrix.entries()):
-            plus = substitute_numeric(
-                entry, {**base_point, VarId.LAMBDA: math.exp(2 * (mu + fd_step))}
-            )
-            minus = substitute_numeric(
-                entry, {**base_point, VarId.LAMBDA: math.exp(2 * (mu - fd_step))}
-            )
-            difference = (plus - minus) / (2 * fd_step)
-            exact = substitute_numeric(
-                target, {**base_point, VarId.LAMBDA: math.exp(2 * mu)}
-            )
-            worst = max(worst, abs(difference - exact))
+        plus = evaluate(*point, math.exp(2 * (mu + fd_step)), 0.0)[:4]
+        minus = evaluate(*point, math.exp(2 * (mu - fd_step)), 0.0)[:4]
+        exact = evaluate(*point, math.exp(2 * mu), 0.0)[4:]
+        for p, m, e in zip(plus, minus, exact):
+            worst = max(worst, abs((p - m) / (2 * fd_step) - e))
     return worst

@@ -116,7 +116,9 @@ def recursion_matrix_inverse() -> PolyMatrix2:
     return adjugate * step.det().inverse_term()
 
 
-# Every rung built so far, by k.  Rung 0 starts both walks.
+# The rungs built so far with |k| <= _MEMO_LIMIT (the CLI's range), by k;
+# rung 0 starts both walks.  Deeper rungs grow with |k| and are not stored.
+_MEMO_LIMIT = 64
 _rungs: dict[int, tuple[LaurentPoly, LaurentPoly]] = {0: (LaurentPoly.zero(), LaurentPoly.one())}
 
 
@@ -135,7 +137,8 @@ def _potential_vector(k: int) -> tuple[LaurentPoly, LaurentPoly]:
     while built != k:
         built += outward
         rung = step.apply(rung)
-        _rungs[built] = rung
+        if abs(built) <= _MEMO_LIMIT:
+            _rungs[built] = rung
     return rung
 
 

@@ -5,15 +5,14 @@ import pytest
 from hhlax.algebra import (
     DivisionByZero,
     LaurentPoly,
-    MissingAssignment,
     PolyMatrix2,
     Rational,
     VarId,
     mat_commutator,
     poisson_bracket,
-    substitute_numeric,
 )
 from hhlax.model import hamiltonians, lax_matrices
+from numeric_reference import MissingAssignment, substitute_numeric
 
 x1, x2, p1, p2, t1, t2, lam, alpha = LaurentPoly.gens()
 HALF = Rational(1, 2)

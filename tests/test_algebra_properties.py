@@ -15,8 +15,8 @@ from hhlax.algebra import (
     VarId,
     mat_commutator,
     poisson_bracket,
-    substitute_numeric,
 )
+from numeric_reference import substitute_numeric
 
 coefficients = st.builds(
     Rational,

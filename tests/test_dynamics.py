@@ -3,11 +3,13 @@
 import io
 import math
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hhlax.algebra import VarId, substitute_numeric
+from hhlax import dynamics
+from hhlax.algebra import VarId
 from hhlax.dynamics import (
     IntegratorConfig,
     NonFiniteState,
@@ -16,6 +18,7 @@ from hhlax.dynamics import (
     SingularState,
     StepSizeUnderflow,
     TimePoint,
+    TrajectorySample,
     check_flow_commutation_numeric,
     check_reparametrization_numeric,
     eigenvalue_samples,
@@ -24,7 +27,8 @@ from hhlax.dynamics import (
     integrate_pfaffian,
     snapshot,
 )
-from hhlax.model import hamiltonian_vector_field, hamiltonians
+from hhlax.model import hamiltonian_vector_field, hamiltonians, lax_matrices
+from numeric_reference import reference_diagnostics, substitute_numeric
 
 REFERENCE = PhaseState(1.0, 1.0, 0.0, 0.0)
 ORIGIN = TimePoint(0.0, 0.0)
@@ -266,6 +270,66 @@ class TestDiagnosticFailures:
     def test_eigenvalues_non_finite(self):
         with pytest.raises(NonFiniteState):
             eigenvalue_samples(False, PhaseState(1e200, 1.0, 0.0, 0.0), ORIGIN, 0.0, [0.5])
+
+
+class TestSamplesView:
+    """`Trajectory.samples` builds TrajectorySample objects from the rows
+    only when they are read, equal to those built from separate kernels."""
+
+    @staticmethod
+    def run():
+        cfg = IntegratorConfig(alpha=0.05, lambdas=(0.25, 1.0, 3.0))
+        loop = Path.from_pairs([(0, 0), (0.4, 0), (0.4, 0.3), (0, 0)])
+        return integrate_pfaffian(REFERENCE, ORIGIN, loop, cfg, deformed=True), cfg
+
+    @staticmethod
+    def expected_samples(trajectory, cfg):
+        hams = hamiltonians(True)
+        polys = [hams.h1, hams.h2, lax_matrices(True).L.det()]
+        folded = [poly.substitute_rational(VarId.ALPHA, Fraction(cfg.alpha)) for poly in polys]
+        reference = reference_diagnostics(*folded, cfg.lambdas)
+        samples = []
+        for s, t1, t2, *y in (row[:7] for row in trajectory.rows()):
+            row = reference(s, t1, t2, tuple(y))
+            eigenvalues = tuple(complex(re, im) for re, im in zip(row[9::2], row[10::2]))
+            samples.append(TrajectorySample(s, TimePoint(t1, t2), PhaseState(*y), row[7], row[8], eigenvalues))
+        return samples
+
+    @staticmethod
+    def bits(sample):
+        state = sample.state
+        values = [sample.s, sample.t.t1, sample.t.t2, state.x1, state.x2, state.p1, state.p2]
+        values += [sample.h1, sample.h2]
+        for value in sample.eigenvalues:
+            values.extend((value.real, value.imag))
+        return [value.hex() for value in values]
+
+    def test_view_equals_reference_samples(self):
+        trajectory, cfg = self.run()
+        expected = self.expected_samples(trajectory, cfg)
+        view = trajectory.samples
+        assert len(view) == len(expected) > 10
+        for index in (0, -1, 5, -4):
+            assert view[index] == expected[index]
+            assert self.bits(view[index]) == self.bits(expected[index])
+        assert view[2:9] == expected[2:9]
+        assert view[::-7] == expected[::-7]
+        assert list(view) == expected
+        assert [self.bits(sample) for sample in view] == [self.bits(sample) for sample in expected]
+        assert trajectory.final_state == expected[-1].state
+        assert trajectory.final_time == expected[-1].t
+        with pytest.raises(IndexError):
+            view[len(expected)]
+
+    def test_samples_are_built_only_when_read(self, monkeypatch):
+        trajectory, _ = self.run()
+        built = []
+        original = dynamics._sample
+        monkeypatch.setattr(dynamics, "_sample", lambda row: built.append(row) or original(row))
+        view = trajectory.samples
+        assert len(view) == len(trajectory.rows()) and built == []
+        view[0], view[-1]
+        assert built == [trajectory.rows()[0], trajectory.rows()[-1]]
 
 
 class TestReparametrization:

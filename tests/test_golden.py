@@ -3,7 +3,8 @@
 The files were written by earlier versions of the kernels and steppers
 (the first two by the term-table kernels and the numpy stepper); any change
 to the arithmetic of the right-hand side, the stage sums, the error norm or
-the diagnostics shows up here as a differing digit.
+the diagnostics shows up here as a differing digit.  The JSON file also pins
+the summary, so the drifts computed from the rows.
 """
 
 import io
@@ -43,9 +44,12 @@ def t2_rk4_alpha_run() -> Trajectory:
     return integrate_autonomous(2, REFERENCE, 0.7, cfg)
 
 
-def _csv(trajectory: Trajectory) -> str:
+def _export(trajectory: Trajectory, name: str) -> str:
     buffer = io.StringIO()
-    trajectory.write_csv(buffer)
+    if name.endswith(".json"):
+        trajectory.write_json(buffer)  # rows plus the summary's drifts
+    else:
+        trajectory.write_csv(buffer)
     return buffer.getvalue()
 
 
@@ -55,7 +59,8 @@ def _csv(trajectory: Trajectory) -> str:
         pytest.param("trajectory_reference.csv", reference_run, id="reference"),
         pytest.param("pfaffian_loop_alpha.csv", alpha_loop_run, id="pfaffian_loop_alpha"),
         pytest.param("trajectory_t2_rk4_alpha.csv", t2_rk4_alpha_run, id="t2_rk4_alpha"),
+        pytest.param("trajectory_reference.json", reference_run, id="reference_json"),
     ],
 )
 def test_golden_trajectory(name, run, golden_dir):
-    assert _csv(run()) == (golden_dir / name).read_text()
+    assert _export(run(), name) == (golden_dir / name).read_text()

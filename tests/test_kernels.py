@@ -1,13 +1,16 @@
 """Generated kernels: bit-for-bit agreement with a term-table interpreter,
-agreement with exact substitution, and the generated singular-set guard."""
+agreement with exact substitution, the generated singular-set guard, and the
+generated diagnostics row."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from hhlax.algebra import LaurentPoly, Rational, VarId, substitute_numeric
-from hhlax.kernels import CompiledPolySet, SingularState
+from hhlax.algebra import LaurentPoly, Rational, VarId
+from hhlax.kernels import CompiledPolySet, NonFiniteState, SingularState, compile_diagnostics
 from hhlax.model import hamiltonians, lax_matrices
+from numeric_reference import reference_diagnostics, substitute_numeric
 
 rng = random.Random(20240817)
 
@@ -121,3 +124,67 @@ def test_alpha_zero_table_has_no_guard():
     polys = _deformed_polys(Rational(0))
     vals = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
     assert _bits(CompiledPolySet(polys).evaluate(*vals)) == _bits(interpret(polys, vals))
+
+
+# -- the diagnostics row ---------------------------------------------------
+
+DEFAULT_LAMBDAS = (0.5, 1.0, 2.0)
+MANY_LAMBDAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+def _diagnostics_polys(deformed: bool, alpha: float) -> list[LaurentPoly]:
+    """h1, h2 and det L of one model with alpha folded in."""
+    hams = hamiltonians(deformed)
+    polys = [hams.h1, hams.h2, lax_matrices(deformed).L.det()]
+    return [poly.substitute_rational(VarId.ALPHA, Fraction(alpha)) for poly in polys]
+
+
+@pytest.mark.parametrize("lambdas", [(), DEFAULT_LAMBDAS, MANY_LAMBDAS], ids=["none", "default", "eight"])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, -0.3])
+@pytest.mark.parametrize("deformed", [False, True])
+def test_diagnostics_row_matches_separate_kernels_bit_for_bit(deformed, alpha, lambdas):
+    polys = _diagnostics_polys(deformed, alpha)
+    diag = compile_diagnostics(*polys, lambdas)
+    reference = reference_diagnostics(*polys, lambdas)
+    points = [
+        (rng.uniform(0.0, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), tuple(_random_vals()[:4]))
+        for _ in range(40)
+    ]
+    if alpha == 0.0:
+        points.append((0.0, 0.0, 0.0, (1.0, 0.0, 0.0, 0.0)))  # no singular set without alpha
+    for s, t1, t2, y in points:
+        row = diag(s, t1, t2, y)
+        assert len(row) == 9 + 2 * len(lambdas)
+        assert _bits(row) == _bits(reference(s, t1, t2, y))
+
+
+@pytest.mark.parametrize("lambdas", [(), DEFAULT_LAMBDAS], ids=["none", "default"])
+@pytest.mark.parametrize("x2", [0.0, 1e-13, -1e-13])
+@pytest.mark.parametrize("deformed", [False, True])
+def test_diagnostics_guard_refuses_the_singular_set(deformed, x2, lambdas):
+    diag = compile_diagnostics(*_diagnostics_polys(deformed, 0.05), lambdas)
+    with pytest.raises(SingularState, match=f"x2 = {x2!r} is on the singular set"):
+        diag(0.0, 0.0, 0.0, (1.0, x2, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "lambdas, y, message",
+    [
+        pytest.param(
+            (), (1e200, 1.0, 0.0, 0.0), "h1 = inf, h2 = inf are not finite at s = 0.0", id="h-no-lambdas"
+        ),
+        pytest.param(
+            DEFAULT_LAMBDAS, (1e200, 1.0, 0.0, 0.0), "h1 = inf, h2 = inf are not finite at s = 0.0", id="h"
+        ),
+        pytest.param(
+            (1.0, 1e100),
+            (1.0, 1.0, 0.0, 0.0),
+            r"det L\(1e\+100\) = inf is not finite at state \(1.0, 1.0, 0.0, 0.0\)",
+            id="det",
+        ),
+    ],
+)
+def test_diagnostics_not_finite(lambdas, y, message):
+    diag = compile_diagnostics(*_diagnostics_polys(False, 0.0), lambdas)
+    with pytest.raises(NonFiniteState, match=message):
+        diag(0.0, 0.0, 0.0, y)
