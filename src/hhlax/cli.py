@@ -38,6 +38,9 @@ from .verify import run_checks, spectral_curve_coefficients
 _USAGE_ERROR = 2
 _RUNTIME_ERROR = 3
 
+# viewBox of the (s, x1) polyline written by --svg
+_SVG_WIDTH, _SVG_HEIGHT = 640, 360
+
 
 class UsageError(Exception):
     pass
@@ -111,9 +114,9 @@ def _export(trajectory: Trajectory, args: argparse.Namespace) -> None:
     with open(args.out, "w", newline="") as stream:
         if args.format == "csv":
             trajectory.write_csv(stream)
+            summary = trajectory.summary()
         else:
-            trajectory.write_json(stream)
-    summary = trajectory.summary()
+            summary = trajectory.write_json(stream)["summary"]
     print(f"samples = {summary['samples']}")
     print(f"h1 drift = {summary['h1_drift']:.6e}")
     print(f"h2 drift = {summary['h2_drift']:.6e}")
@@ -124,19 +127,19 @@ def _export(trajectory: Trajectory, args: argparse.Namespace) -> None:
         print(f"wrote {args.svg}")
 
 
-def _write_svg(trajectory: Trajectory, filename: str, width: int = 640, height: int = 360) -> None:
+def _write_svg(trajectory: Trajectory, filename: str) -> None:
     s_values = [row[0] for row in trajectory.rows()]
     x_values = [row[3] for row in trajectory.rows()]
     s_span = (max(s_values) - min(s_values)) or 1.0
     x_span = (max(x_values) - min(x_values)) or 1.0
     pairs = " ".join(
-        f"{(s - min(s_values)) / s_span * width:.2f},"
-        f"{height - (x - min(x_values)) / x_span * height:.2f}"
+        f"{(s - min(s_values)) / s_span * _SVG_WIDTH:.2f},"
+        f"{_SVG_HEIGHT - (x - min(x_values)) / x_span * _SVG_HEIGHT:.2f}"
         for s, x in zip(s_values, x_values)
     )
     with open(filename, "w") as stream:
         stream.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">'
             f'<polyline fill="none" stroke="black" points="{pairs}"/></svg>\n'
         )
 

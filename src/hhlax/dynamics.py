@@ -12,10 +12,11 @@ Integrators: classic fixed-step RK4 and an adaptive Dormand-Prince 5(4)
 pair, both on plain 4-float tuples with the stage sums written out.
 Right-hand sides and diagnostics are the generated functions of
 `hhlax.kernels`, with the runtime value of alpha folded exactly into the
-polynomials beforehand: one function per field, and one per (model, alpha,
-lambdas) for the whole diagnostics row.  The generated code refuses the
-x2 = 0 singular set itself.  A run keeps no shared mutable state, so
-independent integrations may proceed in parallel.
+polynomials beforehand.  The two fields and the whole diagnostics row of one
+(model, alpha, lambdas) are compiled together and kept in one cache of at
+most 64 entries, so a sweep over alpha runs in bounded memory.  The
+generated code refuses the x2 = 0 singular set itself.  A run keeps no
+shared mutable state, so independent integrations may proceed in parallel.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import LaurentPoly, VarId
 from .kernels import CompiledPolySet, NonFiniteState, SingularState, compile_diagnostics
@@ -249,27 +250,32 @@ class Trajectory:
             "summary": self.summary(),
         }
 
-    def write_json(self, stream) -> None:
-        json.dump(self.to_json_dict(), stream, indent=1)
+    def write_json(self, stream) -> dict:
+        """Writes `to_json_dict()` and returns it."""
+        payload = self.to_json_dict()
+        json.dump(payload, stream, indent=1)
         stream.write("\n")
+        return payload
 
 
 # -- generated right-hand sides and diagnostics ---------------------------
 
-# evaluate(x1, x2, p1, p2, t1, t2, lam, alpha) -> one float per polynomial
-Evaluate = Callable[..., tuple[float, ...]]
+# field(x1, x2, p1, p2, t1, t2, lam, alpha) -> (dx1, dx2, dp1, dp2).  The
+# Hamiltonians have no lam and alpha is folded in, so both are passed as
+# constants.
+Field = Callable[..., State4]
+# diag(s, t1, t2, (x1, x2, p1, p2)) -> one trajectory row
+Diagnostics = Callable[..., list]
 
 
-class _Tables(NamedTuple):
-    field1: Evaluate  # Y_1, 4 components
-    field2: Evaluate  # Y_2, 4 components
-    diagnostics: tuple[LaurentPoly, LaurentPoly, LaurentPoly]  # h1, h2, det L(lambda)
+@lru_cache(maxsize=64)
+def _compiled(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> tuple[Field, Field, Diagnostics]:
+    """The generated fields Y_1, Y_2 and diagnostics row of one model,
+    alpha and set of lambda samples, with alpha folded in.
 
-
-@lru_cache(maxsize=None)
-def _tables(deformed: bool, alpha: float) -> _Tables:
-    """The generated fields of one model and its diagnostics polynomials,
-    with alpha folded in."""
+    Callers pass alpha and the lambdas as floats: the lambdas become the
+    defaults of the generated `diag`.
+    """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     # Fraction(float) is exact, so folding loses nothing and alpha = 0
@@ -280,27 +286,13 @@ def _tables(deformed: bool, alpha: float) -> _Tables:
         return [p.substitute_rational(VarId.ALPHA, value) for p in polys]
 
     hams = hamiltonians(deformed)
-    h1, h2, det = fold((hams.h1, hams.h2, lax_matrices(deformed).L.det()))
     try:
-        return _Tables(
+        return (
             CompiledPolySet(fold(hamiltonian_vector_field(hams.h1).components)).evaluate,
             CompiledPolySet(fold(hamiltonian_vector_field(hams.h2).components)).evaluate,
-            (h1, h2, det),
+            compile_diagnostics(*fold((hams.h1, hams.h2, lax_matrices(deformed).L.det())), lambdas),
         )
     except OverflowError as exc:  # a folded coefficient beyond the float range
-        raise ValueError(f"alpha = {alpha!r} is too large for the float kernels") from exc
-
-
-def _diagnostics(deformed: bool, alpha: float, lambdas: Iterable[float]) -> Callable[..., list]:
-    """The generated diagnostics row of one model, alpha and lambda samples."""
-    return _compiled_diagnostics(deformed, float(alpha), tuple(map(float, lambdas)))
-
-
-@lru_cache(maxsize=64)
-def _compiled_diagnostics(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> Callable[..., list]:
-    try:
-        return compile_diagnostics(*_tables(deformed, alpha).diagnostics, lambdas)
-    except OverflowError as exc:
         raise ValueError(f"alpha = {alpha!r} is too large for the float kernels") from exc
 
 
@@ -321,9 +313,10 @@ def flow_rhs(
     """
     if k not in (1, 2):
         raise ValueError("flow index must be 1 or 2")
-    tables = _tables(deformed, float(alpha))
-    field = tables.field1 if k == 1 else tables.field2
-    return field(state.x1, state.x2, state.p1, state.p2, t.t1, t.t2, 1.0, alpha)
+    # With the default lambdas the fields share their entry with default runs.
+    field1, field2, _ = _compiled(deformed, float(alpha), IntegratorConfig.lambdas)
+    field = field1 if k == 1 else field2
+    return field(state.x1, state.x2, state.p1, state.p2, t.t1, t.t2, 1.0, 0.0)
 
 
 # -- steppers ------------------------------------------------------------
@@ -500,7 +493,7 @@ def snapshot(
     cfg = cfg or IntegratorConfig()
     if not (math.isfinite(t.t1) and math.isfinite(t.t2)):
         raise ValueError(f"time must be finite, got {t}")
-    diag = _diagnostics(deformed, cfg.alpha, cfg.lambdas)
+    _, _, diag = _compiled(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
     return Trajectory([diag(0.0, t.t1, t.t2, _initial_state(state))], cfg.lambdas)
 
 
@@ -519,21 +512,18 @@ def integrate_autonomous(
         raise ValueError("duration must be finite and nonnegative")
     y0 = _initial_state(state0)
     _check_step_budget(duration, cfg.max_step)
-    tables = _tables(False, cfg.alpha)
-    field = tables.field1 if k == 1 else tables.field2
-    alpha = cfg.alpha
-    diag = _diagnostics(False, alpha, cfg.lambdas)
+    field1, field2, diag = _compiled(False, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
+    field = field1 if k == 1 else field2
 
     def rhs(s: float, x1: float, x2: float, p1: float, p2: float) -> State4:
-        return field(x1, x2, p1, p2, 0.0, 0.0, 1.0, alpha)
+        return field(x1, x2, p1, p2, 0.0, 0.0, 1.0, 0.0)
 
     steps = _integrate_ode(rhs, duration, y0, cfg)
     return Trajectory([diag(s, s if k == 1 else 0.0, s if k == 2 else 0.0, y) for s, y in steps], cfg.lambdas)
 
 
-def _segment_rhs(tables: _Tables, alpha: float, start: TimePoint, w1: float, w2: float) -> Rhs:
+def _segment_rhs(field1: Field, field2: Field, start: TimePoint, w1: float, w2: float) -> Rhs:
     """w1 * Y_1 + w2 * Y_2 along t = start + s * (w1, w2); zero weights skip their field."""
-    field1, field2 = tables.field1, tables.field2
     t1_start, t2_start = start.t1, start.t2
 
     def rhs(s: float, x1: float, x2: float, p1: float, p2: float) -> State4:
@@ -541,13 +531,13 @@ def _segment_rhs(tables: _Tables, alpha: float, start: TimePoint, w1: float, w2:
         t2v = t2_start + w2 * s
         r1 = r2 = r3 = r4 = 0.0
         if w1:
-            f1, f2, f3, f4 = field1(x1, x2, p1, p2, t1v, t2v, 1.0, alpha)
+            f1, f2, f3, f4 = field1(x1, x2, p1, p2, t1v, t2v, 1.0, 0.0)
             r1 += w1 * f1
             r2 += w1 * f2
             r3 += w1 * f3
             r4 += w1 * f4
         if w2:
-            f1, f2, f3, f4 = field2(x1, x2, p1, p2, t1v, t2v, 1.0, alpha)
+            f1, f2, f3, f4 = field2(x1, x2, p1, p2, t1v, t2v, 1.0, 0.0)
             r1 += w2 * f1
             r2 += w2 * f2
             r3 += w2 * f3
@@ -577,15 +567,14 @@ def integrate_pfaffian(
     y = _initial_state(state0)
     for start, stop in path.segments():
         _check_step_budget(math.hypot(stop.t1 - start.t1, stop.t2 - start.t2), cfg.max_step)
-    tables = _tables(deformed, cfg.alpha)
-    diag = _diagnostics(deformed, cfg.alpha, cfg.lambdas)
+    field1, field2, diag = _compiled(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
 
     s_offset = 0.0
     raw: list[tuple[float, float, float, State4]] = [(0.0, t0.t1, t0.t2, y)]
     for start, stop in path.segments():
         d1, d2 = stop.t1 - start.t1, stop.t2 - start.t2
         length = math.hypot(d1, d2)
-        rhs = _segment_rhs(tables, cfg.alpha, start, d1 / length, d2 / length)
+        rhs = _segment_rhs(field1, field2, start, d1 / length, d2 / length)
         steps = _integrate_ode(rhs, length, y, cfg)
         for s, y_step in steps[1:]:
             fraction = s / length
@@ -616,7 +605,7 @@ def eigenvalue_samples(
     lambdas: Sequence[float],
 ) -> list[tuple[complex, complex]]:
     """Eigenvalue pairs +-sqrt(-det L(lambda_j)) of the traceless Lax matrix."""
-    diag = _diagnostics(deformed, alpha, lambdas)
+    _, _, diag = _compiled(deformed, float(alpha), tuple(map(float, lambdas)))
     row = diag(0.0, t.t1, t.t2, (state.x1, state.x2, state.p1, state.p2))
     return [(root, -root) for root in _sample(row).eigenvalues]
 

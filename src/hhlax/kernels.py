@@ -92,7 +92,9 @@ def _guard_source(named_polys: Sequence[tuple[LaurentPoly, Sequence[str]]]) -> l
 def _compile(lines: list[str], name: str) -> Callable:
     namespace: dict = {"SingularState": SingularState, "NonFiniteState": NonFiniteState}
     exec(compile("\n".join(lines) + "\n", "<hhlax.kernels>", "exec"), namespace)
-    return namespace[name]
+    # Popped, so that the function and its globals form no reference cycle
+    # and a dropped function is freed at once, without a cyclic collection.
+    return namespace.pop(name)
 
 
 class CompiledPolySet:

@@ -154,6 +154,23 @@ class TestSimulateCommand:
         content = svg_file.read_text()
         assert content.startswith("<svg") and "polyline" in content
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_summary_computed_once(self, fmt, tmp_path, capsys, monkeypatch):
+        calls = []
+        summary = dynamics.Trajectory.summary
+
+        def counted(self):
+            calls.append(self)
+            return summary(self)
+
+        monkeypatch.setattr(dynamics.Trajectory, "summary", counted)
+        code, _, _ = run_cli(
+            "simulate", "--flow", "t1", "--duration", "0.5", "--state", "1,1,0,0",
+            "--out", str(tmp_path / f"run.{fmt}"), "--format", fmt, capsys=capsys,
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_deformed_flow(self, tmp_path, capsys):
         out_file = tmp_path / "deformed.csv"
         code, _, _ = run_cli(

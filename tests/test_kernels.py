@@ -2,7 +2,9 @@
 agreement with exact substitution, the generated singular-set guard, and the
 generated diagnostics row."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -188,3 +190,17 @@ def test_diagnostics_not_finite(lambdas, y, message):
     diag = compile_diagnostics(*_diagnostics_polys(False, 0.0), lambdas)
     with pytest.raises(NonFiniteState, match=message):
         diag(0.0, 0.0, 0.0, y)
+
+
+def test_dropped_kernels_are_freed_without_a_cyclic_collection():
+    # A generated function kept in its own globals would form a reference
+    # cycle and outlive its last reference until a full collection.
+    gc.disable()
+    try:
+        diag = compile_diagnostics(*_diagnostics_polys(True, 0.05), DEFAULT_LAMBDAS)
+        table = CompiledPolySet(_deformed_polys(Fraction(1, 20)))
+        refs = [weakref.ref(diag), weakref.ref(table.evaluate)]
+        del diag, table
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -1,8 +1,5 @@
 """Model objects: potentials, Hamiltonians, vector fields, Lax matrices."""
 
-import os
-import pathlib
-import subprocess
 import sys
 
 import pytest
@@ -96,26 +93,12 @@ class TestPotentialRecursion:
         step = recursion_matrix() if k > 0 else recursion_matrix_inverse()
         assert step.apply((inward.v1, inward.v2)) == (pair.v1, pair.v2)
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="peak RSS is read from /proc")
-    def test_deep_rungs_leave_peak_memory_flat(self):
+    def test_deep_rungs_leave_peak_memory_flat(self, child_peak_rss_kb):
         # Walking to +-600 in a fresh process stores none of the deep rungs:
         # the import alone peaks near 16 MB, and storing every rung on the
-        # way peaked at 130 MB.  VmHWM counts this process only, while
-        # ru_maxrss would also count the parent's pages at fork time.
-        code = (
-            "from hhlax.model import potential\n"
-            "potential(600)\n"
-            "potential(-600)\n"
-            "with open('/proc/self/status') as status:\n"
-            "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
-        )
-        package_root = str(pathlib.Path(model.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        child = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": pythonpath},
-        )
-        assert int(child.stdout) < 20 * 1024  # kB
+        # way peaked at 130 MB.
+        code = "from hhlax.model import potential\npotential(600)\npotential(-600)"
+        assert child_peak_rss_kb(code) < 20 * 1024  # kB
 
     def test_inverse_matrix_is_exact(self):
         product = recursion_matrix() @ recursion_matrix_inverse()
