@@ -7,11 +7,13 @@ identities of the library are proven on this layer, so there is deliberately
 no floating point anywhere: numbers are evaluated by the generated kernels
 of `hhlax.kernels`.
 
-Every stored coefficient is a nonzero `Fraction` in normal form.  Products
-do their arithmetic on integers: each factor is written as integer
-numerators over the LCM of its denominators, the numerator products are
-summed per monomial, and each result coefficient is normalised once, as one
-`Fraction`, instead of once per pair of terms.
+A polynomial stores integer numerators over one common denominator, in
+lowest terms: the denominator is positive, every numerator is nonzero, and
+the gcd of the denominator and all numerators is 1.  Every ring operation
+works on these integers alone and normalises its result once, with one gcd
+over the whole polynomial.  `Fraction` appears only at the boundary:
+coefficients go in as ints or Fractions and come out of `items()` and
+`sorted_terms()` as Fractions.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ __all__ = [
     "mat_commutator",
 ]
 
-# Exact coefficient field.  fractions.Fraction already guarantees the
-# normal form we need: gcd(|num|, den) == 1, den > 0, zero stored as 0/1.
+# Exact coefficient type at the public boundary: coefficients are passed in
+# as ints or Fractions and read back as Fractions in normal form.  The ring
+# itself computes on integer numerators over a common denominator.
 Rational = Fraction
 
 
@@ -76,11 +79,12 @@ class DivisionByZero(ZeroDivisionError):
     """A variable raised to a negative power was assigned zero."""
 
 
-def _coeff(value: Scalar) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
 
 
@@ -93,31 +97,43 @@ def _monomial_key(mono: Monomial) -> tuple:
 class LaurentPoly:
     """Sparse multivariate Laurent polynomial over the eight ring variables.
 
-    Stored as a map from exponent tuples to nonzero rational coefficients;
-    the zero polynomial is the empty map, so equality of values is equality
-    of the canonical representation.
+    Stored as a map from exponent tuples to nonzero integer numerators over
+    one positive denominator, with no common factor left among them; the
+    zero polynomial is the empty map over 1.  So equality of values is
+    equality of the canonical representation.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_den", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        normalized: dict[Monomial, Fraction] = {}
+        ratios: list[tuple[Monomial, int, int]] = []
         if terms:
             for mono, value in terms.items():
                 mono = tuple(mono)
                 if len(mono) != N_VARS:
                     raise ValueError(f"monomial must have {N_VARS} exponents, got {len(mono)}")
-                coeff = _coeff(value)
-                if coeff:
-                    _accumulate(normalized, mono, coeff)
-        self._terms = normalized
+                num, den = _ratio(value)
+                if num:
+                    ratios.append((mono, num, den))
+        den = functools.reduce(math.lcm, (d for _, _, d in ratios), 1)
+        sums: dict[Monomial, int] = {}
+        for mono, num, d in ratios:
+            total = sums.get(mono, 0) + num * (den // d)
+            if total:
+                sums[mono] = total
+            else:
+                del sums[mono]
+        normal = _normal(sums, den)
+        self._terms = normal._terms
+        self._den = normal._den
         self._hash: int | None = None
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction]) -> "LaurentPoly":
-        # Internal fast path: `terms` must already be normalized.
+    def _raw(cls, terms: dict[Monomial, int], den: int) -> "LaurentPoly":
+        # Internal fast path: `terms` over `den` must already be canonical.
         poly = object.__new__(cls)
         poly._terms = terms
+        poly._den = den
         poly._hash = None
         return poly
 
@@ -125,7 +141,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._raw({})
+        return cls._raw({}, 1)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -133,13 +149,13 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value: Scalar) -> "LaurentPoly":
-        coeff = _coeff(value)
-        return cls._raw({_UNIT_MONOMIAL: coeff} if coeff else {})
+        num, den = _ratio(value)
+        return cls._raw({_UNIT_MONOMIAL: num}, den) if num else cls._raw({}, 1)
 
     @classmethod
     def variable(cls, var: VarId) -> "LaurentPoly":
         mono = tuple(1 if i == var else 0 for i in range(N_VARS))
-        return cls._raw({mono: Fraction(1)})
+        return cls._raw({mono: 1}, 1)
 
     @classmethod
     def term(cls, mono: Monomial, coeff: Scalar) -> "LaurentPoly":
@@ -163,11 +179,12 @@ class LaurentPoly:
         return len(self._terms)
 
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((mono, Fraction(num, den)) for mono, num in self._terms.items())
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in the canonical (graded) order used for rendering."""
-        return sorted(self._terms.items(), key=lambda item: _monomial_key(item[0]))
+        return sorted(self.items(), key=lambda item: _monomial_key(item[0]))
 
     def depends_on(self, var: VarId) -> bool:
         return any(mono[var] for mono in self._terms)
@@ -181,11 +198,11 @@ class LaurentPoly:
 
     def coefficients_in(self, var: VarId) -> dict[int, "LaurentPoly"]:
         """Collect terms by the exponent of `var`, with `var` removed."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for mono, coeff in self._terms.items():
+        buckets: dict[int, dict[Monomial, int]] = {}
+        for mono, num in self._terms.items():
             reduced = tuple(0 if i == var else e for i, e in enumerate(mono))
-            buckets.setdefault(mono[var], {})[reduced] = coeff
-        return {power: LaurentPoly._raw(terms) for power, terms in sorted(buckets.items())}
+            buckets.setdefault(mono[var], {})[reduced] = num
+        return {power: _normal(terms, self._den) for power, terms in sorted(buckets.items())}
 
     # -- ring operations ----------------------------------------------
 
@@ -193,65 +210,88 @@ class LaurentPoly:
         other = as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        result = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            _accumulate(result, mono, coeff)
-        return LaurentPoly._raw(result)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({mono: -coeff for mono, coeff in self._terms.items()})
+        return LaurentPoly._raw({mono: -num for mono, num in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "LaurentPoly":
         other = as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, -1)
+
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        # self + sign * other, for sign 1 or -1, over the LCM of the two
+        # denominators.
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other if sign == 1 else -other
+        den_a, den_b = self._den, other._den
+        if den_a == den_b:
+            den, scale_a, scale_b = den_a, 1, sign
+        else:
+            den = math.lcm(den_a, den_b)
+            scale_a, scale_b = den // den_a, sign * (den // den_b)
+        if scale_a == 1:
+            terms = dict(self._terms)
+        else:
+            terms = {mono: num * scale_a for mono, num in self._terms.items()}
+        get = terms.get
+        for mono, num in other._terms.items():
+            total = get(mono, 0) + num * scale_b
+            if total:
+                terms[mono] = total
+            else:
+                del terms[mono]
+        return _normal(terms, den)
 
     def __mul__(self, other) -> "LaurentPoly":
         other = as_poly(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self._terms:
+            return self
+        if not other._terms:
+            return other
         if len(self._terms) == 1:
-            return other._shifted(*next(iter(self._terms.items())))
+            (mono, num), = self._terms.items()
+            return other._shifted(mono, num, self._den)
         if len(other._terms) == 1:
-            return self._shifted(*next(iter(other._terms.items())))
-        den_a, terms_a = _integer_form(self._terms)
-        den_b, terms_b = _integer_form(other._terms)
+            (mono, num), = other._terms.items()
+            return self._shifted(mono, num, other._den)
         sums: dict[Monomial, int] = {}
         get = sums.get
         add = operator.add
-        for mono_a, num_a in terms_a:
+        terms_b = other._terms.items()
+        for mono_a, num_a in self._terms.items():
             for mono_b, num_b in terms_b:
                 mono = tuple(map(add, mono_a, mono_b))
                 sums[mono] = get(mono, 0) + num_a * num_b
-        den = den_a * den_b
-        return LaurentPoly._raw({mono: Fraction(num, den) for mono, num in sums.items() if num})
+        return _normal({mono: num for mono, num in sums.items() if num}, self._den * other._den)
 
-    def _shifted(self, shift: Monomial, scale: Fraction) -> "LaurentPoly":
-        # Product with the single term scale * shift.  Shifting keeps the
-        # monomials distinct, so no two terms collect and none cancels.
-        if scale == 1:
+    def _shifted(self, shift: Monomial, num: int, den: int) -> "LaurentPoly":
+        # Product with the single term (num / den) * shift.  Shifting keeps
+        # the monomials distinct, so no two terms collect and none cancels.
+        if num == 1 and den == 1:
             if shift == _UNIT_MONOMIAL:
                 return self
             return LaurentPoly._raw(
-                {tuple(map(operator.add, mono, shift)): coeff for mono, coeff in self._terms.items()}
+                {tuple(map(operator.add, mono, shift)): n for mono, n in self._terms.items()},
+                self._den,
             )
-        num, den = scale.numerator, scale.denominator
-        return LaurentPoly._raw(
-            {
-                tuple(map(operator.add, mono, shift)): Fraction(
-                    coeff.numerator * num, coeff.denominator * den
-                )
-                for mono, coeff in self._terms.items()
-            }
+        return _normal(
+            {tuple(map(operator.add, mono, shift)): n * num for mono, n in self._terms.items()},
+            self._den * den,
         )
 
     __rmul__ = __mul__
@@ -267,20 +307,21 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __truediv__(self, other) -> "LaurentPoly":
         # Exact division by a scalar or by a single-term polynomial; the
         # Laurent ring makes the latter total (exponents may go negative).
         if isinstance(other, (int, Fraction)):
-            divisor = _coeff(other)
-            if not divisor:
+            num, den = _ratio(other)
+            if not num:
                 raise ZeroDivisionError("division of polynomial by zero")
-            return LaurentPoly._raw(
-                {mono: coeff / divisor for mono, coeff in self._terms.items()}
-            )
+            if num < 0:
+                num, den = -num, -den
+            return self._shifted(_UNIT_MONOMIAL, den, num)
         if isinstance(other, LaurentPoly):
             return self * other.inverse_term()
         return NotImplemented
@@ -289,57 +330,72 @@ class LaurentPoly:
         """Exact inverse of a single-term polynomial (a Laurent unit)."""
         if len(self._terms) != 1:
             raise ValueError("only single-term Laurent polynomials are invertible")
-        (mono, coeff), = self._terms.items()
-        return LaurentPoly._raw({tuple(-e for e in mono): 1 / coeff})
+        (mono, num), = self._terms.items()
+        den = self._den
+        if num < 0:
+            num, den = -num, -den
+        return LaurentPoly._raw({tuple(-e for e in mono): den}, num)
 
     # -- calculus -----------------------------------------------------
 
     def diff(self, var: VarId) -> "LaurentPoly":
         """Term-wise d/d(var) with d(v^n)/dv = n v^(n-1) for every integer n."""
-        result: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
+        result: dict[Monomial, int] = {}
+        for mono, num in self._terms.items():
             n = mono[var]
             if n == 0:
                 continue
             lowered = list(mono)
             lowered[var] = n - 1
-            result[tuple(lowered)] = coeff * n
-        return LaurentPoly._raw(result)
+            result[tuple(lowered)] = num * n
+        return _normal(result, self._den)
 
     def substitute_rational(self, var: VarId, value: Scalar) -> "LaurentPoly":
         """Exactly substitute a rational value for one variable."""
-        value = _coeff(value)
-        powers: dict[int, Fraction] = {}
-        result: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
+        p, q = _ratio(value)
+        exps = {mono[var] for mono in self._terms}
+        if not any(exps):
+            return self
+        top, bottom = max(0, max(exps)), max(0, -min(exps))
+        if bottom and not p:
+            raise DivisionByZero(f"{var.symbol} = 0 but appears with exponent {-bottom}")
+        # (p/q)^n = p^(n + bottom) q^(top - n) / (p^bottom q^top), with both
+        # exponents on the right nonnegative for every n present.
+        scales = {n: p ** (n + bottom) * q ** (top - n) for n in exps}
+        result: dict[Monomial, int] = {}
+        get = result.get
+        for mono, num in self._terms.items():
             n = mono[var]
+            scale = scales[n]
+            if not scale:
+                continue
             if n:
-                if n < 0 and not value:
-                    raise DivisionByZero(f"{var.symbol} = 0 but appears with exponent {n}")
-                power = powers.get(n)
-                if power is None:
-                    power = powers[n] = value**n
-                if not power:
-                    continue
-                coeff = coeff * power
                 reduced = list(mono)
                 reduced[var] = 0
                 mono = tuple(reduced)
-            _accumulate(result, mono, coeff)
-        return LaurentPoly._raw(result)
+            total = get(mono, 0) + num * scale
+            if total:
+                result[mono] = total
+            else:
+                del result[mono]
+        den = self._den * p**bottom * q**top
+        if den < 0:
+            den = -den
+            result = {mono: -num for mono, num in result.items()}
+        return _normal(result, den)
 
     # -- comparisons and rendering ------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == LaurentPoly.constant(other)._terms
+            return self == LaurentPoly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._terms.items())))
         return self._hash
 
     def __str__(self) -> str:
@@ -370,26 +426,16 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def _accumulate(terms: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
-    """Add the nonzero `coeff` to `terms[mono]` in place, dropping a zero sum."""
-    prior = terms.get(mono)
-    if prior is None:
-        terms[mono] = coeff
-        return
-    total = prior + coeff
-    if total:
-        terms[mono] = total
-    else:
-        del terms[mono]
-
-
-def _integer_form(terms: dict[Monomial, Fraction]) -> tuple[int, list[tuple[Monomial, int]]]:
-    """(D, [(mono, n)]) with each coefficient equal to n / D, D the LCM of the denominators."""
-    # Pairwise: `math.lcm(*denominators)` would build one argument tuple per
-    # call, of every length up to 19, and the interpreter keeps up to 2000
-    # freed tuples of each length, which added megabytes of resident memory.
-    den = functools.reduce(math.lcm, (coeff.denominator for coeff in terms.values()), 1)
-    return den, [(mono, coeff.numerator * (den // coeff.denominator)) for mono, coeff in terms.items()]
+def _normal(terms: dict[Monomial, int], den: int) -> LaurentPoly:
+    """The polynomial with nonzero numerators `terms` over `den` > 0, in canonical form."""
+    if den != 1:
+        # One C-level gcd over the whole polynomial; for no terms it is
+        # `den`, which leaves the zero polynomial over 1.
+        common = math.gcd(den, *terms.values())
+        if common != 1:
+            terms = {mono: num // common for mono, num in terms.items()}
+            den //= common
+    return LaurentPoly._raw(terms, den)
 
 
 def as_poly(value) -> LaurentPoly:

@@ -130,11 +130,12 @@ def _export(trajectory: Trajectory, args: argparse.Namespace) -> None:
 def _write_svg(trajectory: Trajectory, filename: str) -> None:
     s_values = [row[0] for row in trajectory.rows()]
     x_values = [row[3] for row in trajectory.rows()]
-    s_span = (max(s_values) - min(s_values)) or 1.0
-    x_span = (max(x_values) - min(x_values)) or 1.0
+    s_min, x_min = min(s_values), min(x_values)
+    s_span = (max(s_values) - s_min) or 1.0
+    x_span = (max(x_values) - x_min) or 1.0
     pairs = " ".join(
-        f"{(s - min(s_values)) / s_span * _SVG_WIDTH:.2f},"
-        f"{_SVG_HEIGHT - (x - min(x_values)) / x_span * _SVG_HEIGHT:.2f}"
+        f"{(s - s_min) / s_span * _SVG_WIDTH:.2f},"
+        f"{_SVG_HEIGHT - (x - x_min) / x_span * _SVG_HEIGHT:.2f}"
         for s, x in zip(s_values, x_values)
     )
     with open(filename, "w") as stream:

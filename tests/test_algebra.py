@@ -157,6 +157,7 @@ class TestExactSubstitution:
     def test_substitute_rational_negative_power(self):
         f = alpha * x2**-2
         assert f.substitute_rational(VarId.X2, 2) == QUARTER * alpha
+        assert (alpha / x2).substitute_rational(VarId.X2, -2) == -HALF * alpha
         with pytest.raises(DivisionByZero):
             f.substitute_rational(VarId.X2, 0)
 

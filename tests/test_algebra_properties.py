@@ -161,6 +161,10 @@ def test_evaluation_is_additive(f, g, point):
 
 def reference_product(f: LaurentPoly, g: LaurentPoly) -> dict:
     """The term-pair product: one Fraction multiply and add per pair of terms."""
+    return _term_pair_product(dict(f.items()), dict(g.items()))
+
+
+def _term_pair_product(f: dict, g: dict) -> dict:
     result: dict = {}
     for mono_f, coeff_f in f.items():
         for mono_g, coeff_g in g.items():
@@ -177,11 +181,15 @@ def reference_sum(f: LaurentPoly, g: LaurentPoly) -> dict:
 
 
 def assert_normal_form(f: LaurentPoly) -> None:
-    # An int coefficient would compare equal, but `inverse_term` would turn
-    # its `1 / coeff` into a float.
+    # Coefficients are read back as Fractions, never as ints or floats.
     for mono, coeff in f.items():
         assert type(mono) is tuple and len(mono) == N_VARS
         assert type(coeff) is Fraction and coeff != 0
+    # Stored as nonzero int numerators over one positive denominator with no
+    # common factor, so that equal values have equal representations.
+    assert type(f._den) is int and f._den >= 1
+    assert all(type(num) is int and num for num in f._terms.values())
+    assert math.gcd(f._den, *f._terms.values()) == 1
 
 
 @given(factors, factors)
@@ -238,3 +246,84 @@ def test_substitution_matches_reference(f, var, value):
     result = f.substitute_rational(var, value)
     assert dict(result.items()) == {mono: c for mono, c in expected.items() if c}
     assert_normal_form(result)
+
+
+@given(factors, st.sampled_from(list(VarId)))
+def test_derivative_matches_reference(f, var):
+    expected: dict = {}
+    for mono, coeff in f.items():
+        if mono[var]:
+            lowered = tuple(e - 1 if i == var else e for i, e in enumerate(mono))
+            expected[lowered] = coeff * mono[var]
+    derivative = f.diff(var)
+    assert dict(derivative.items()) == expected
+    assert_normal_form(derivative)
+
+
+@given(factors, st.sampled_from(list(VarId)))
+def test_coefficients_in_matches_reference(f, var):
+    expected: dict = {}
+    for mono, coeff in f.items():
+        reduced = tuple(0 if i == var else e for i, e in enumerate(mono))
+        expected.setdefault(mono[var], {})[reduced] = coeff
+    parts = f.coefficients_in(var)
+    assert list(parts) == sorted(expected)
+    assert {power: dict(part.items()) for power, part in parts.items()} == expected
+    for part in parts.values():
+        assert_normal_form(part)
+
+
+@given(factors, st.one_of(nonzero_coefficients, st.integers(min_value=-5, max_value=5).filter(bool)))
+def test_negation_and_scalar_division_match_reference(f, scalar):
+    negated, quotient = -f, f / scalar
+    assert dict(negated.items()) == {mono: -coeff for mono, coeff in f.items()}
+    assert dict(quotient.items()) == {mono: coeff / scalar for mono, coeff in f.items()}
+    assert_normal_form(negated)
+    assert_normal_form(quotient)
+
+
+@settings(max_examples=60)
+@given(polys, st.integers(min_value=0, max_value=5))
+def test_power_matches_repeated_product(f, n):
+    power = f**n
+    expected = {(0,) * N_VARS: Fraction(1)}
+    for _ in range(n):
+        expected = _term_pair_product(expected, dict(f.items()))
+    assert dict(power.items()) == expected
+    product = LaurentPoly.one()
+    for _ in range(n):
+        product = product * f
+    assert power == product
+    assert_normal_form(power)
+
+
+def test_power_builds_no_higher_power(monkeypatch):
+    degrees = []
+    multiply = LaurentPoly.__mul__
+
+    def spy(a, b):
+        product = multiply(a, b)
+        degrees.append(product.degree_range(VarId.X2)[1])
+        return product
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", spy)
+    assert LaurentPoly.variable(VarId.X2) ** 4 == LaurentPoly.term((0, 4, 0, 0, 0, 0, 0, 0), 1)
+    assert max(degrees) == 4
+
+
+@given(
+    factors,
+    factors,
+    st.builds(LaurentPoly.term, wide_monomials, nonzero_coefficients),
+    nonzero_coefficients,
+    st.sampled_from(list(VarId)),
+)
+def test_equal_values_reached_by_different_routes(f, g, unit, scalar, var):
+    x = LaurentPoly.variable(var)
+    reassembled = LaurentPoly.zero()
+    for power, part in f.coefficients_in(var).items():
+        reassembled = reassembled + part * x**power
+    for value in ((f * scalar) / scalar, (f + g) - g, (f * unit) * unit.inverse_term(), reassembled):
+        assert value == f
+        assert hash(value) == hash(f)
+        assert_normal_form(value)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import hhlax
 from hhlax import dynamics
-from hhlax.cli import main
+from hhlax.cli import _write_svg, main
 from hhlax.model import potential
 
 
@@ -153,6 +153,17 @@ class TestSimulateCommand:
         assert code == 0
         content = svg_file.read_text()
         assert content.startswith("<svg") and "polyline" in content
+
+    def test_svg_points_are_scaled_to_the_view_box(self, tmp_path):
+        # Columns s, t1, t2, x1, ...: s spans [0, 1] and x1 spans [0.5, 2].
+        rows = [[s, 0.0, 0.0, x1] + [0.0] * 11 for s, x1 in ((0.0, 1.0), (0.5, 2.0), (1.0, 0.5))]
+        svg_file = tmp_path / "run.svg"
+        _write_svg(dynamics.Trajectory(rows), str(svg_file))
+        assert svg_file.read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 640 360">'
+            '<polyline fill="none" stroke="black" points="0.00,240.00 320.00,0.00 640.00,360.00"/>'
+            "</svg>\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_summary_computed_once(self, fmt, tmp_path, capsys, monkeypatch):
