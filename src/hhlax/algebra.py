@@ -79,13 +79,18 @@ class DivisionByZero(ZeroDivisionError):
     """A variable raised to a negative power was assigned zero."""
 
 
+def _is_scalar(value) -> bool:
+    """Whether `value` is an exact int or Fraction.  Subclasses such as bool
+    and the IntEnum `VarId` are not scalars, so `x1 * VarId.X2` is an error
+    and not `x1 * 1`."""
+    return type(value) is int or type(value) is Fraction
+
+
 def _ratio(value: Scalar) -> tuple[int, int]:
     """(numerator, denominator) of an int or Fraction, in lowest terms."""
-    if isinstance(value, int):
-        return int(value), 1
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
+    if not _is_scalar(value):
+        raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
+    return value.numerator, value.denominator
 
 
 def _monomial_key(mono: Monomial) -> tuple:
@@ -297,8 +302,9 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
-        if not isinstance(exponent, int):
+        if not _is_scalar(exponent) or exponent.denominator != 1:
             raise TypeError("exponent must be an integer")
+        exponent = int(exponent)
         if exponent < 0:
             return self.inverse_term() ** (-exponent)
         result = LaurentPoly.one()
@@ -315,7 +321,7 @@ class LaurentPoly:
     def __truediv__(self, other) -> "LaurentPoly":
         # Exact division by a scalar or by a single-term polynomial; the
         # Laurent ring makes the latter total (exponents may go negative).
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             num, den = _ratio(other)
             if not num:
                 raise ZeroDivisionError("division of polynomial by zero")
@@ -389,13 +395,18 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return self._den == other._den and self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self == LaurentPoly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._den, frozenset(self._terms.items())))
+            terms = self._terms
+            if not terms.keys() - {_UNIT_MONOMIAL}:
+                # Zero or a constant hashes like the equal int or Fraction.
+                self._hash = hash(Fraction(terms.get(_UNIT_MONOMIAL, 0), self._den))
+            else:
+                self._hash = hash((self._den, frozenset(terms.items())))
         return self._hash
 
     def __str__(self) -> str:
@@ -442,7 +453,7 @@ def as_poly(value) -> LaurentPoly:
     """Coerce an int or Fraction to a constant polynomial."""
     if isinstance(value, LaurentPoly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if _is_scalar(value):
         return LaurentPoly.constant(value)
     return NotImplemented
 

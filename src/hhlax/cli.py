@@ -7,8 +7,8 @@ Subcommands:
   pfaffian   integrate the multi-time system along a waypoint path
   spectral   print the spectral curve and numeric eigenvalue samples
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (including
-any non-finite or out-of-range number), 3 numeric failure (singular state,
+Exit codes: 0 success, 1 verification failure, 2 bad input (a `ValueError`,
+raised where the value is made), 3 numeric failure (singular state,
 step-size underflow or non-finite state).
 """
 
@@ -42,19 +42,13 @@ _RUNTIME_ERROR = 3
 _SVG_WIDTH, _SVG_HEIGHT = 640, 360
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_floats(text: str, count: int | None = None, what: str = "value") -> list[float]:
     try:
         values = [float(item) for item in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"malformed {what} {text!r}") from exc
-    if not all(math.isfinite(value) for value in values):
-        raise UsageError(f"{what} must be finite, got {text!r}")
+        raise ValueError(f"malformed {what} {text!r}") from exc
     if count is not None and len(values) != count:
-        raise UsageError(f"expected {count} comma-separated values for {what}, got {len(values)}")
+        raise ValueError(f"expected {count} comma-separated values for {what}, got {len(values)}")
     return values
 
 
@@ -67,13 +61,7 @@ def _parse_timepoint(text: str) -> TimePoint:
 
 
 def _parse_waypoints(text: str) -> Path:
-    points = [_parse_timepoint(chunk) for chunk in text.split(";") if chunk]
-    if len(points) < 2:
-        raise UsageError("need at least 2 waypoints")
-    try:
-        return Path(tuple(points))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return Path(tuple(_parse_timepoint(chunk) for chunk in text.split(";") if chunk))
 
 
 def _parse_bool(text: str) -> bool:
@@ -82,7 +70,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("false", "0", "no"):
         return False
-    raise UsageError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _add_integrator_arguments(parser: argparse.ArgumentParser) -> None:
@@ -165,7 +153,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_potential(args: argparse.Namespace) -> int:
     if abs(args.k) > 64:
-        raise UsageError(f"k = {args.k} out of range (|k| <= 64)")
+        raise ValueError(f"k = {args.k} out of range (|k| <= 64)")
     from .model import potential
 
     pair = potential(args.k)
@@ -181,7 +169,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     deformed = _parse_bool(args.deformed)
     k = 1 if args.flow == "t1" else 2
     if not math.isfinite(args.duration) or args.duration < 0:
-        raise UsageError("duration must be finite and nonnegative")
+        raise ValueError("duration must be finite and nonnegative")
     if not deformed:
         trajectory = integrate_autonomous(k, state0, args.duration, cfg)
     elif args.duration == 0:
@@ -207,8 +195,6 @@ def _cmd_pfaffian(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.alpha):
-        raise UsageError(f"alpha must be finite, got {args.alpha!r}")
     state = _parse_state(args.state)
     t = _parse_timepoint(args.t)
     lambdas = _parse_floats(args.lambdas, what="lambdas")
@@ -282,8 +268,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (UsageError, ValueError) as exc:
-        # The library raises ValueError for arguments it cannot accept.
+    except ValueError as exc:
+        # Bad input, from the parsers here or from the library where the
+        # value is made.
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (SingularState, StepSizeUnderflow, NonFiniteState) as exc:

@@ -17,6 +17,10 @@ polynomials beforehand.  The two fields and the whole diagnostics row of one
 most 64 entries, so a sweep over alpha runs in bounded memory.  The
 generated code refuses the x2 = 0 singular set itself.  A run keeps no
 shared mutable state, so independent integrations may proceed in parallel.
+
+Bad input is a `ValueError` raised where the value is made: `PhaseState`,
+`TimePoint` and `IntegratorConfig` hold finite numbers only, so the functions
+below check no number again (a raw alpha goes through `IntegratorConfig`).
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ _MIN_STEP_FRACTION = 1e-14
 # The most steps one span may need: rk4-fixed takes ceil(span / max_step)
 # steps and DP45, whose steps never exceed max_step either, at least as many.
 _MAX_STEPS = 10**6
+# Step in mu of the central difference in check_reparametrization_numeric.
+_FD_STEP = 1e-6
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -73,18 +79,33 @@ class StepSizeUnderflow(RuntimeError):
 State4 = tuple[float, float, float, float]
 
 
+def _require_finite(what: str, value, numbers: Iterable[float]) -> None:
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhaseState:
+    """A point (x1, x2, p1, p2) of phase space; every component is finite."""
+
     x1: float
     x2: float
     p1: float
     p2: float
 
+    def __post_init__(self):
+        _require_finite("state", self, vars(self).values())
+
 
 @dataclass(frozen=True)
 class TimePoint:
+    """A point (t1, t2) of the time plane; both times are finite."""
+
     t1: float
     t2: float
+
+    def __post_init__(self):
+        _require_finite("time", self, vars(self).values())
 
 
 @dataclass(frozen=True)
@@ -96,9 +117,6 @@ class Path:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise ValueError("a path needs at least 2 waypoints")
-        for point in self.waypoints:
-            if not (math.isfinite(point.t1) and math.isfinite(point.t2)):
-                raise ValueError(f"waypoints must be finite, got {point}")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a == b:
                 raise ValueError("consecutive waypoints must be distinct")
@@ -132,10 +150,8 @@ class IntegratorConfig:
         # A NaN max_step never advances the stepper, and an infinite
         # tolerance accepts any step.
         for name in ("abs_tol", "rel_tol", "max_step", "alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not all(math.isfinite(lam) for lam in self.lambdas):
-            raise ValueError(f"lambdas must be finite, got {self.lambdas!r}")
+            _require_finite(name, getattr(self, name), [getattr(self, name)])
+        _require_finite("lambdas", self.lambdas, self.lambdas)
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_step <= 0:
@@ -276,8 +292,6 @@ def _compiled(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> tuple
     Callers pass alpha and the lambdas as floats: the lambdas become the
     defaults of the generated `diag`.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
     # Fraction(float) is exact, so folding loses nothing and alpha = 0
     # removes the singular terms, and with them the generated guard.
     value = Fraction(alpha)
@@ -297,10 +311,7 @@ def _compiled(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> tuple
 
 
 def _initial_state(state: PhaseState) -> State4:
-    y = (float(state.x1), float(state.x2), float(state.p1), float(state.p2))
-    if not all(math.isfinite(value) for value in y):
-        raise ValueError(f"state must be finite, got {state}")
-    return y
+    return (float(state.x1), float(state.x2), float(state.p1), float(state.p2))
 
 
 def flow_rhs(
@@ -314,7 +325,8 @@ def flow_rhs(
     if k not in (1, 2):
         raise ValueError("flow index must be 1 or 2")
     # With the default lambdas the fields share their entry with default runs.
-    field1, field2, _ = _compiled(deformed, float(alpha), IntegratorConfig.lambdas)
+    cfg = IntegratorConfig(alpha=alpha)
+    field1, field2, _ = _compiled(deformed, float(cfg.alpha), cfg.lambdas)
     field = field1 if k == 1 else field2
     return field(state.x1, state.x2, state.p1, state.p2, t.t1, t.t2, 1.0, 0.0)
 
@@ -491,8 +503,6 @@ def snapshot(
 ) -> Trajectory:
     """Single-sample trajectory: the diagnostics of one (state, t) point."""
     cfg = cfg or IntegratorConfig()
-    if not (math.isfinite(t.t1) and math.isfinite(t.t2)):
-        raise ValueError(f"time must be finite, got {t}")
     _, _, diag = _compiled(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
     return Trajectory([diag(0.0, t.t1, t.t2, _initial_state(state))], cfg.lambdas)
 
@@ -605,9 +615,9 @@ def eigenvalue_samples(
     lambdas: Sequence[float],
 ) -> list[tuple[complex, complex]]:
     """Eigenvalue pairs +-sqrt(-det L(lambda_j)) of the traceless Lax matrix."""
-    _, _, diag = _compiled(deformed, float(alpha), tuple(map(float, lambdas)))
-    row = diag(0.0, t.t1, t.t2, (state.x1, state.x2, state.p1, state.p2))
-    return [(root, -root) for root in _sample(row).eigenvalues]
+    cfg = IntegratorConfig(alpha=alpha, lambdas=tuple(lambdas))
+    roots = snapshot(deformed, state, t, cfg).samples[0].eigenvalues
+    return [(root, -root) for root in roots]
 
 
 def check_reparametrization_numeric(
@@ -615,7 +625,6 @@ def check_reparametrization_numeric(
     state: PhaseState,
     t: TimePoint,
     mu_samples: Sequence[float],
-    fd_step: float = 1e-6,
 ) -> float:
     """Residual of the chain rule under lambda -> exp(2 mu).
 
@@ -631,9 +640,9 @@ def check_reparametrization_numeric(
     point = (state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
     worst = 0.0
     for mu in mu_samples:
-        plus = evaluate(*point, math.exp(2 * (mu + fd_step)), 0.0)[:4]
-        minus = evaluate(*point, math.exp(2 * (mu - fd_step)), 0.0)[:4]
+        plus = evaluate(*point, math.exp(2 * (mu + _FD_STEP)), 0.0)[:4]
+        minus = evaluate(*point, math.exp(2 * (mu - _FD_STEP)), 0.0)[:4]
         exact = evaluate(*point, math.exp(2 * mu), 0.0)[4:]
         for p, m, e in zip(plus, minus, exact):
-            worst = max(worst, abs((p - m) / (2 * fd_step) - e))
+            worst = max(worst, abs((p - m) / (2 * _FD_STEP) - e))
     return worst

@@ -185,6 +185,45 @@ class TestDivision:
             (x1 + x2) ** -1
 
 
+class TestScalarRule:
+    """Exact ints and Fractions are scalars; their subclasses are not."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: x1 * VarId.X2,
+            lambda: VarId.X2 * x1,
+            lambda: x1 + True,
+            lambda: True + x1,
+            lambda: x1 - True,
+            lambda: x1 / True,
+            lambda: x1**True,
+            lambda: x1 ** Rational(1, 2),
+            lambda: PolyMatrix2(VarId.X2, 0, 0, 0),
+            lambda: PolyMatrix2.identity() * True,
+            lambda: LaurentPoly.constant(True),
+            lambda: LaurentPoly({(0,) * 8: VarId.X2}),
+            lambda: x1.substitute_rational(VarId.X1, True),
+        ],
+        ids=[
+            "x1*VarId", "VarId*x1", "x1+True", "True+x1", "x1-True", "x1/True", "x1**True",
+            "x1**(1/2)", "matrix_entry", "matrix*True", "constant", "term", "substitute",
+        ],
+    )
+    def test_subclass_of_int_is_refused(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_bool_is_not_equal_to_a_constant(self):
+        assert LaurentPoly.one() == 1 and LaurentPoly.one() == Rational(1)
+        assert LaurentPoly.one() != True
+
+    def test_exact_scalars_still_work(self):
+        assert x1 * 2 + Rational(1, 2) == LaurentPoly({(1,) + (0,) * 7: 2, (0,) * 8: HALF})
+        assert x1 ** Rational(2) == x1**2
+        assert PolyMatrix2(1, 0, 0, 1) == PolyMatrix2.identity()
+
+
 class TestRendering:
     def test_single_term_with_fraction(self):
         assert str(Rational(3, 4) * x2**-2 * alpha) == "3/4*x2^-2*alpha"

@@ -327,3 +327,17 @@ def test_equal_values_reached_by_different_routes(f, g, unit, scalar, var):
         assert value == f
         assert hash(value) == hash(f)
         assert_normal_form(value)
+
+
+@given(st.one_of(st.integers(min_value=-9, max_value=9), wide_coefficients), factors)
+def test_equal_values_have_equal_hashes(scalar, f):
+    # A constant polynomial equals the int or Fraction it holds, so it must
+    # hash like it; sets and dict keys then treat them as one value.
+    constant = LaurentPoly.constant(scalar)
+    assert constant == scalar == Fraction(scalar)
+    values = [scalar, Fraction(scalar), constant, (f - f) + scalar, (f + scalar) - f, f, f * 1, (f + 1) - 1]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b)
+    assert len({scalar, Fraction(scalar), constant}) == 1

@@ -383,6 +383,52 @@ class TestConfigAndExport:
         assert via_snapshot.samples[0].eigenvalues == via_run.samples[0].eigenvalues
 
 
+def _bad_state(bad: float) -> PhaseState:
+    return PhaseState(1.0, bad, 0.0, 0.0)
+
+
+def _bad_time(bad: float) -> TimePoint:
+    return TimePoint(0.0, bad)
+
+
+_LOOP = Path.from_pairs([(0, 0), (0.3, 0), (0, 0)])
+
+# Every public float-layer entry point, fed one non-finite number.
+ENTRY_POINTS = {
+    "PhaseState": _bad_state,
+    "TimePoint": _bad_time,
+    "Path.from_pairs": lambda bad: Path.from_pairs([(0, 0), (bad, 0.5)]),
+    "IntegratorConfig.alpha": lambda bad: IntegratorConfig(alpha=bad),
+    "IntegratorConfig.lambdas": lambda bad: IntegratorConfig(lambdas=(0.5, bad)),
+    "snapshot.state": lambda bad: snapshot(True, _bad_state(bad), ORIGIN),
+    "snapshot.time": lambda bad: snapshot(True, REFERENCE, _bad_time(bad)),
+    "eigenvalue_samples.state": lambda bad: eigenvalue_samples(False, _bad_state(bad), ORIGIN, 0.0, [1.0]),
+    "eigenvalue_samples.time": lambda bad: eigenvalue_samples(True, REFERENCE, _bad_time(bad), 0.0, [1.0]),
+    "eigenvalue_samples.alpha": lambda bad: eigenvalue_samples(False, REFERENCE, ORIGIN, bad, [1.0]),
+    "eigenvalue_samples.lambda": lambda bad: eigenvalue_samples(False, REFERENCE, ORIGIN, 0.0, [1.0, bad]),
+    "flow_rhs.state": lambda bad: flow_rhs(False, 1, _bad_state(bad), ORIGIN, 0.0),
+    "flow_rhs.time": lambda bad: flow_rhs(True, 2, REFERENCE, _bad_time(bad), 0.0),
+    "flow_rhs.alpha": lambda bad: flow_rhs(False, 1, REFERENCE, ORIGIN, bad),
+    "integrate_autonomous.state": lambda bad: integrate_autonomous(1, _bad_state(bad), 0.1),
+    "integrate_autonomous.duration": lambda bad: integrate_autonomous(1, REFERENCE, bad),
+    "integrate_pfaffian.state": lambda bad: integrate_pfaffian(_bad_state(bad), ORIGIN, _LOOP),
+    "integrate_pfaffian.t0": lambda bad: integrate_pfaffian(REFERENCE, _bad_time(bad), _LOOP),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_non_finite_input_is_a_value_error(entry, bad, monkeypatch):
+    # Bad input is rejected where the value is made, before any model is
+    # compiled: never a NonFiniteState and never a NaN result.
+    def no_model(*args, **kwargs):
+        raise AssertionError("model compiled")
+
+    monkeypatch.setattr(dynamics, "_compiled", no_model)
+    with pytest.raises(ValueError, match="must be finite"):
+        ENTRY_POINTS[entry](bad)
+
+
 def test_distinct_alphas_leave_peak_memory_flat(child_peak_rss_kb):
     # Every alpha compiles its own fields and diagnostics row, and only the
     # last 64 are kept: keeping all 400 peaked at 24 MB.
