@@ -14,13 +14,21 @@ works on these integers alone and normalises its result once, with one gcd
 over the whole polynomial.  `Fraction` appears only at the boundary:
 coefficients go in as ints or Fractions and come out of `items()` and
 `sorted_terms()` as Fractions.
+
+Each monomial is stored as one int, `sum(e_i << (32 * i))` over its eight
+exponents read as signed 32-bit digits, so a monomial product is one int
+addition, a Laurent inverse is a negation and the unit monomial is 0.
+Monomials go in and come out as 8-tuples of ints.  Exponents must satisfy
+|e| < 2**31: the constructor refuses a larger one, and since every
+polynomial carries an upper bound on its |exponents|, a product or
+derivative that could leave that range raises `OverflowError` instead of
+wrapping into another monomial.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from enum import IntEnum
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -64,9 +72,18 @@ class VarId(IntEnum):
 _VAR_NAMES = ("x1", "x2", "p1", "p2", "t1", "t2", "lambda", "alpha")
 N_VARS = 8
 
-# A monomial is a length-8 tuple of signed integer exponents.
+# At the public boundary a monomial is a length-8 tuple of signed integer
+# exponents.  Inside a polynomial it is packed into one int with a 32-bit
+# digit per variable; adding _BIAS makes every digit e + 2**31, which lies in
+# [0, 2**32) exactly when |e| < 2**31 = _LIMIT, so the digits read back
+# without borrows.
 Monomial = tuple
-_UNIT_MONOMIAL: Monomial = (0,) * N_VARS
+_DIGIT = 32
+_SHIFTS = tuple(_DIGIT * var for var in range(N_VARS))
+_LIMIT = 1 << (_DIGIT - 1)
+_MASK = (1 << _DIGIT) - 1
+_BIAS = sum(_LIMIT << shift for shift in _SHIFTS)
+_UNIT_MONOMIAL = 0
 
 # Canonical conjugate pairs for the Poisson bracket; t1, t2, lambda and
 # alpha are Poisson-inert.
@@ -93,6 +110,31 @@ def _ratio(value: Scalar) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
+def _pack(mono: Monomial) -> tuple[int, int]:
+    """(packed key, largest |exponent|) of an exponent 8-tuple."""
+    if len(mono) != N_VARS:
+        raise ValueError(f"monomial must have {N_VARS} exponents, got {len(mono)}")
+    for e in mono:
+        if type(e) is not int:
+            raise TypeError(f"exponents must be ints, got {type(e).__name__}")
+    top = max(map(abs, mono))
+    if top >= _LIMIT:
+        raise OverflowError(f"exponent {top} is outside the range |e| < 2**31")
+    return sum(e << shift for e, shift in zip(mono, _SHIFTS)), top
+
+
+def _unpack(key: int) -> Monomial:
+    biased = key + _BIAS
+    return tuple(((biased >> shift) & _MASK) - _LIMIT for shift in _SHIFTS)
+
+
+def _checked(bound: int) -> int:
+    """`bound` as the |exponent| bound of a new polynomial, if it is in range."""
+    if bound >= _LIMIT:
+        raise OverflowError(f"an exponent could reach {bound}, outside the range |e| < 2**31")
+    return bound
+
+
 def _monomial_key(mono: Monomial) -> tuple:
     # Graded order: total (signed) degree first, then reverse-lex on the
     # exponent vector.  Fixed once so string rendering is canonical.
@@ -102,43 +144,47 @@ def _monomial_key(mono: Monomial) -> tuple:
 class LaurentPoly:
     """Sparse multivariate Laurent polynomial over the eight ring variables.
 
-    Stored as a map from exponent tuples to nonzero integer numerators over
+    Stored as a map from packed monomials to nonzero integer numerators over
     one positive denominator, with no common factor left among them; the
     zero polynomial is the empty map over 1.  So equality of values is
-    equality of the canonical representation.
+    equality of the canonical representation.  `_bound` is an upper bound on
+    every |exponent|, below 2**31; it is not part of the value.
     """
 
-    __slots__ = ("_terms", "_den", "_hash")
+    __slots__ = ("_terms", "_den", "_bound", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        ratios: list[tuple[Monomial, int, int]] = []
+        ratios: list[tuple[int, int, int]] = []
+        bound = 0
         if terms:
             for mono, value in terms.items():
-                mono = tuple(mono)
-                if len(mono) != N_VARS:
-                    raise ValueError(f"monomial must have {N_VARS} exponents, got {len(mono)}")
+                packed, top = _pack(tuple(mono))
+                bound = max(bound, top)
                 num, den = _ratio(value)
                 if num:
-                    ratios.append((mono, num, den))
+                    ratios.append((packed, num, den))
         den = functools.reduce(math.lcm, (d for _, _, d in ratios), 1)
-        sums: dict[Monomial, int] = {}
+        sums: dict[int, int] = {}
         for mono, num, d in ratios:
             total = sums.get(mono, 0) + num * (den // d)
             if total:
                 sums[mono] = total
             else:
                 del sums[mono]
-        normal = _normal(sums, den)
+        normal = _normal(sums, den, bound)
         self._terms = normal._terms
         self._den = normal._den
+        self._bound = bound
         self._hash: int | None = None
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, int], den: int) -> "LaurentPoly":
-        # Internal fast path: `terms` over `den` must already be canonical.
+    def _raw(cls, terms: dict[int, int], den: int, bound: int) -> "LaurentPoly":
+        # Internal fast path: `terms` over `den` must already be canonical,
+        # with every |exponent| at most `bound` < 2**31.
         poly = object.__new__(cls)
         poly._terms = terms
         poly._den = den
+        poly._bound = bound
         poly._hash = None
         return poly
 
@@ -146,7 +192,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._raw({}, 1)
+        return cls._raw({}, 1, 0)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -155,12 +201,11 @@ class LaurentPoly:
     @classmethod
     def constant(cls, value: Scalar) -> "LaurentPoly":
         num, den = _ratio(value)
-        return cls._raw({_UNIT_MONOMIAL: num}, den) if num else cls._raw({}, 1)
+        return cls._raw({_UNIT_MONOMIAL: num}, den, 0) if num else cls._raw({}, 1, 0)
 
     @classmethod
     def variable(cls, var: VarId) -> "LaurentPoly":
-        mono = tuple(1 if i == var else 0 for i in range(N_VARS))
-        return cls._raw({mono: 1}, 1)
+        return cls._raw({1 << _SHIFTS[var]: 1}, 1, 1)
 
     @classmethod
     def term(cls, mono: Monomial, coeff: Scalar) -> "LaurentPoly":
@@ -185,29 +230,36 @@ class LaurentPoly:
 
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
         den = self._den
-        return ((mono, Fraction(num, den)) for mono, num in self._terms.items())
+        return ((_unpack(mono), Fraction(num, den)) for mono, num in self._terms.items())
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in the canonical (graded) order used for rendering."""
         return sorted(self.items(), key=lambda item: _monomial_key(item[0]))
 
+    def _powers(self, var: VarId) -> list[int]:
+        """The exponent of `var` in each term, in term order."""
+        shift = _SHIFTS[var]
+        return [(((mono + _BIAS) >> shift) & _MASK) - _LIMIT for mono in self._terms]
+
     def depends_on(self, var: VarId) -> bool:
-        return any(mono[var] for mono in self._terms)
+        return any(self._powers(var))
 
     def degree_range(self, var: VarId) -> tuple[int, int]:
         """(min, max) exponent of `var`; (0, 0) for polynomials free of it."""
-        exps = [mono[var] for mono in self._terms if mono[var]]
+        exps = [n for n in self._powers(var) if n]
         if not exps:
             return (0, 0)
         return (min(exps), max(exps))
 
     def coefficients_in(self, var: VarId) -> dict[int, "LaurentPoly"]:
         """Collect terms by the exponent of `var`, with `var` removed."""
-        buckets: dict[int, dict[Monomial, int]] = {}
-        for mono, num in self._terms.items():
-            reduced = tuple(0 if i == var else e for i, e in enumerate(mono))
-            buckets.setdefault(mono[var], {})[reduced] = num
-        return {power: _normal(terms, self._den) for power, terms in sorted(buckets.items())}
+        shift = _SHIFTS[var]
+        buckets: dict[int, dict[int, int]] = {}
+        for (mono, num), n in zip(self._terms.items(), self._powers(var)):
+            buckets.setdefault(n, {})[mono - (n << shift)] = num
+        return {
+            power: _normal(terms, self._den, self._bound) for power, terms in sorted(buckets.items())
+        }
 
     # -- ring operations ----------------------------------------------
 
@@ -220,7 +272,9 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({mono: -num for mono, num in self._terms.items()}, self._den)
+        return LaurentPoly._raw(
+            {mono: -num for mono, num in self._terms.items()}, self._den, self._bound
+        )
 
     def __sub__(self, other) -> "LaurentPoly":
         other = as_poly(other)
@@ -258,7 +312,7 @@ class LaurentPoly:
                 terms[mono] = total
             else:
                 del terms[mono]
-        return _normal(terms, den)
+        return _normal(terms, den, max(self._bound, other._bound))
 
     def __mul__(self, other) -> "LaurentPoly":
         other = as_poly(other)
@@ -268,35 +322,34 @@ class LaurentPoly:
             return self
         if not other._terms:
             return other
+        bound = _checked(self._bound + other._bound)
         if len(self._terms) == 1:
             (mono, num), = self._terms.items()
-            return other._shifted(mono, num, self._den)
+            return other._shifted(mono, num, self._den, bound)
         if len(other._terms) == 1:
             (mono, num), = other._terms.items()
-            return self._shifted(mono, num, other._den)
-        sums: dict[Monomial, int] = {}
+            return self._shifted(mono, num, other._den, bound)
+        sums: dict[int, int] = {}
         get = sums.get
-        add = operator.add
         terms_b = other._terms.items()
         for mono_a, num_a in self._terms.items():
             for mono_b, num_b in terms_b:
-                mono = tuple(map(add, mono_a, mono_b))
+                mono = mono_a + mono_b
                 sums[mono] = get(mono, 0) + num_a * num_b
-        return _normal({mono: num for mono, num in sums.items() if num}, self._den * other._den)
+        return _normal({mono: num for mono, num in sums.items() if num}, self._den * other._den, bound)
 
-    def _shifted(self, shift: Monomial, num: int, den: int) -> "LaurentPoly":
-        # Product with the single term (num / den) * shift.  Shifting keeps
-        # the monomials distinct, so no two terms collect and none cancels.
+    def _shifted(self, shift: int, num: int, den: int, bound: int) -> "LaurentPoly":
+        # Product with the single term (num / den) * shift, whose |exponents|
+        # are at most `bound` (checked by the caller).  Shifting keeps the
+        # monomials distinct, so no two terms collect and none cancels.
         if num == 1 and den == 1:
             if shift == _UNIT_MONOMIAL:
                 return self
             return LaurentPoly._raw(
-                {tuple(map(operator.add, mono, shift)): n for mono, n in self._terms.items()},
-                self._den,
+                {mono + shift: n for mono, n in self._terms.items()}, self._den, bound
             )
         return _normal(
-            {tuple(map(operator.add, mono, shift)): n * num for mono, n in self._terms.items()},
-            self._den * den,
+            {mono + shift: n * num for mono, n in self._terms.items()}, self._den * den, bound
         )
 
     __rmul__ = __mul__
@@ -327,7 +380,7 @@ class LaurentPoly:
                 raise ZeroDivisionError("division of polynomial by zero")
             if num < 0:
                 num, den = -num, -den
-            return self._shifted(_UNIT_MONOMIAL, den, num)
+            return self._shifted(_UNIT_MONOMIAL, den, num, self._bound)
         if isinstance(other, LaurentPoly):
             return self * other.inverse_term()
         return NotImplemented
@@ -340,45 +393,44 @@ class LaurentPoly:
         den = self._den
         if num < 0:
             num, den = -num, -den
-        return LaurentPoly._raw({tuple(-e for e in mono): den}, num)
+        return LaurentPoly._raw({-mono: den}, num, self._bound)
 
     # -- calculus -----------------------------------------------------
 
     def diff(self, var: VarId) -> "LaurentPoly":
         """Term-wise d/d(var) with d(v^n)/dv = n v^(n-1) for every integer n."""
-        result: dict[Monomial, int] = {}
+        bound = _checked(self._bound + 1)
+        shift = _SHIFTS[var]
+        step = 1 << shift
+        result: dict[int, int] = {}
+        # `_powers` written out: the bracket differentiates eight times per
+        # call, and most terms are free of `var`.
         for mono, num in self._terms.items():
-            n = mono[var]
-            if n == 0:
-                continue
-            lowered = list(mono)
-            lowered[var] = n - 1
-            result[tuple(lowered)] = num * n
-        return _normal(result, self._den)
+            n = (((mono + _BIAS) >> shift) & _MASK) - _LIMIT
+            if n:
+                result[mono - step] = num * n
+        return _normal(result, self._den, bound)
 
     def substitute_rational(self, var: VarId, value: Scalar) -> "LaurentPoly":
         """Exactly substitute a rational value for one variable."""
         p, q = _ratio(value)
-        exps = {mono[var] for mono in self._terms}
-        if not any(exps):
+        powers = self._powers(var)
+        if not any(powers):
             return self
-        top, bottom = max(0, max(exps)), max(0, -min(exps))
+        top, bottom = max(0, max(powers)), max(0, -min(powers))
         if bottom and not p:
             raise DivisionByZero(f"{var.symbol} = 0 but appears with exponent {-bottom}")
         # (p/q)^n = p^(n + bottom) q^(top - n) / (p^bottom q^top), with both
         # exponents on the right nonnegative for every n present.
-        scales = {n: p ** (n + bottom) * q ** (top - n) for n in exps}
-        result: dict[Monomial, int] = {}
+        scales = {n: p ** (n + bottom) * q ** (top - n) for n in set(powers)}
+        shift = _SHIFTS[var]
+        result: dict[int, int] = {}
         get = result.get
-        for mono, num in self._terms.items():
-            n = mono[var]
+        for (mono, num), n in zip(self._terms.items(), powers):
             scale = scales[n]
             if not scale:
                 continue
-            if n:
-                reduced = list(mono)
-                reduced[var] = 0
-                mono = tuple(reduced)
+            mono -= n << shift
             total = get(mono, 0) + num * scale
             if total:
                 result[mono] = total
@@ -388,7 +440,7 @@ class LaurentPoly:
         if den < 0:
             den = -den
             result = {mono: -num for mono, num in result.items()}
-        return _normal(result, den)
+        return _normal(result, den, self._bound)
 
     # -- comparisons and rendering ------------------------------------
 
@@ -437,7 +489,7 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def _normal(terms: dict[Monomial, int], den: int) -> LaurentPoly:
+def _normal(terms: dict[int, int], den: int, bound: int) -> LaurentPoly:
     """The polynomial with nonzero numerators `terms` over `den` > 0, in canonical form."""
     if den != 1:
         # One C-level gcd over the whole polynomial; for no terms it is
@@ -446,7 +498,7 @@ def _normal(terms: dict[Monomial, int], den: int) -> LaurentPoly:
         if common != 1:
             terms = {mono: num // common for mono, num in terms.items()}
             den //= common
-    return LaurentPoly._raw(terms, den)
+    return LaurentPoly._raw(terms, den, bound)
 
 
 def as_poly(value) -> LaurentPoly:

@@ -79,8 +79,15 @@ class StepSizeUnderflow(RuntimeError):
 State4 = tuple[float, float, float, float]
 
 
+def _is_finite(number: float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _require_finite(what: str, value, numbers: Iterable[float]) -> None:
-    if not all(map(math.isfinite, numbers)):
+    if not all(map(_is_finite, numbers)):
         raise ValueError(f"{what} must be finite, got {value!r}")
 
 
@@ -123,7 +130,10 @@ class Path:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[float]]) -> "Path":
-        return cls(tuple(TimePoint(float(a), float(b)) for a, b in pairs))
+        try:
+            return cls(tuple(TimePoint(float(a), float(b)) for a, b in pairs))
+        except OverflowError:
+            raise ValueError("time must be finite, got a number too large for a float") from None
 
     def segments(self) -> Iterable[tuple[TimePoint, TimePoint]]:
         return zip(self.waypoints, self.waypoints[1:])
@@ -518,7 +528,7 @@ def integrate_autonomous(
     cfg = cfg or IntegratorConfig()
     if k not in (1, 2):
         raise ValueError("flow index must be 1 or 2")
-    if not math.isfinite(duration) or duration < 0:
+    if not _is_finite(duration) or duration < 0:
         raise ValueError("duration must be finite and nonnegative")
     y0 = _initial_state(state0)
     _check_step_budget(duration, cfg.max_step)

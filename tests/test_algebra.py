@@ -204,13 +204,23 @@ class TestScalarRule:
             lambda: LaurentPoly.constant(True),
             lambda: LaurentPoly({(0,) * 8: VarId.X2}),
             lambda: x1.substitute_rational(VarId.X1, True),
+            lambda: LaurentPoly({(0.5,) + (0,) * 7: 1}),
+            lambda: LaurentPoly({(1.0,) + (0,) * 7: 1}),
+            lambda: LaurentPoly({(True,) + (0,) * 7: 1}),
+            lambda: LaurentPoly.term((0,) * 7 + (Rational(1),), 1),
+            lambda: LaurentPoly.term((0, VarId.X2) + (0,) * 6, 1),
+            lambda: LaurentPoly({(0.5,) + (0,) * 7: 0}),
         ],
         ids=[
             "x1*VarId", "VarId*x1", "x1+True", "True+x1", "x1-True", "x1/True", "x1**True",
             "x1**(1/2)", "matrix_entry", "matrix*True", "constant", "term", "substitute",
+            "exponent_half", "exponent_float", "exponent_bool", "exponent_fraction",
+            "exponent_VarId", "exponent_of_zero_term",
         ],
     )
     def test_subclass_of_int_is_refused(self, build):
+        # Exponents follow the coefficient rule: only an exact int is one,
+        # so x1^0.5 and x1^1.0 (which squared to x1^2.0) never exist.
         with pytest.raises(TypeError):
             build()
 
@@ -222,6 +232,53 @@ class TestScalarRule:
         assert x1 * 2 + Rational(1, 2) == LaurentPoly({(1,) + (0,) * 7: 2, (0,) * 8: HALF})
         assert x1 ** Rational(2) == x1**2
         assert PolyMatrix2(1, 0, 0, 1) == PolyMatrix2.identity()
+
+
+TOP = 2**31 - 1
+
+
+class TestExponentRange:
+    """Exponents satisfy |e| < 2**31; no result wraps into another monomial."""
+
+    def test_extreme_exponents_round_trip(self):
+        mono = (TOP, -TOP, 0, 1, -1, TOP, -TOP, 2**30)
+        f = LaurentPoly.term(mono, Rational(-3, 7))
+        assert list(f.items()) == [(mono, Rational(-3, 7))]
+        assert f.degree_range(VarId.X2) == (-TOP, -TOP)
+        assert str(LaurentPoly.term((TOP, -TOP) + (0,) * 6, 1)) == "x1^2147483647*x2^-2147483647"
+        for var in VarId:
+            for e in (TOP, -TOP):
+                single = tuple(e if i == var else 0 for i in range(8))
+                assert dict(LaurentPoly.term(single, 1).items()) == {single: 1}
+
+    @pytest.mark.parametrize("e", [2**31, -(2**31), 2**40])
+    @pytest.mark.parametrize("var", list(VarId))
+    def test_constructor_refuses_out_of_range(self, var, e):
+        mono = tuple(e if i == var else 0 for i in range(8))
+        with pytest.raises(OverflowError):
+            LaurentPoly({mono: 1})
+
+    def test_power_past_the_range_raises(self):
+        with pytest.raises(OverflowError):
+            x1 ** 2**31
+        with pytest.raises(OverflowError):
+            x1 ** -(2**31)
+
+    def test_product_past_the_range_raises(self):
+        half = x1 ** 2**30
+        with pytest.raises(OverflowError):
+            half * half
+        # A sum keeps the larger bound of its two summands.
+        with pytest.raises(OverflowError):
+            (half + x2) * (half - x2)
+
+    def test_derivative_past_the_range_raises(self):
+        f = LaurentPoly.term((-TOP,) + (0,) * 7, 1)
+        with pytest.raises(OverflowError):
+            f.diff(VarId.X1)
+        assert LaurentPoly.term((-(TOP - 1),) + (0,) * 7, 1).diff(VarId.X1) == LaurentPoly.term(
+            (-TOP,) + (0,) * 7, -(TOP - 1)
+        )
 
 
 class TestRendering:

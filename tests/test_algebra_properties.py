@@ -51,6 +51,20 @@ factors = st.one_of(
     st.builds(LaurentPoly.constant, wide_coefficients),
 )
 
+# Exponents up to 2**29 in size, half of them at the edges, so that products
+# and derivatives carry and borrow across the digits of the packed monomials
+# while every result stays inside |e| < 2**31.
+EDGE = 2**29
+large_exponents = st.one_of(
+    st.integers(min_value=-EDGE, max_value=EDGE),
+    st.sampled_from([-EDGE, -EDGE + 1, -1, 0, 1, EDGE - 1, EDGE]),
+)
+large_monomials = st.tuples(*[large_exponents] * N_VARS)
+large_factors = st.one_of(
+    st.dictionaries(large_monomials, wide_coefficients, max_size=8).map(LaurentPoly),
+    st.builds(LaurentPoly.term, large_monomials, nonzero_coefficients),
+)
+
 # Nonzero values keep negative powers well defined during evaluation.
 values = st.floats(min_value=0.5, max_value=2.0).map(lambda v: v if v else 1.0)
 points = st.tuples(*[values] * N_VARS).map(
@@ -180,10 +194,22 @@ def reference_sum(f: LaurentPoly, g: LaurentPoly) -> dict:
     return {mono: coeff for mono, coeff in result.items() if coeff}
 
 
+def reference_derivative(f: LaurentPoly, var: VarId) -> dict:
+    expected: dict = {}
+    for mono, coeff in f.items():
+        if mono[var]:
+            lowered = tuple(e - 1 if i == var else e for i, e in enumerate(mono))
+            expected[lowered] = coeff * mono[var]
+    return expected
+
+
 def assert_normal_form(f: LaurentPoly) -> None:
-    # Coefficients are read back as Fractions, never as ints or floats.
+    # Coefficients are read back as Fractions, never as ints or floats, and
+    # exponents as ints within the polynomial's stored bound, below 2**31.
+    assert type(f._bound) is int and 0 <= f._bound < 2**31
     for mono, coeff in f.items():
         assert type(mono) is tuple and len(mono) == N_VARS
+        assert all(type(e) is int and abs(e) <= f._bound for e in mono)
         assert type(coeff) is Fraction and coeff != 0
     # Stored as nonzero int numerators over one positive denominator with no
     # common factor, so that equal values have equal representations.
@@ -250,14 +276,20 @@ def test_substitution_matches_reference(f, var, value):
 
 @given(factors, st.sampled_from(list(VarId)))
 def test_derivative_matches_reference(f, var):
-    expected: dict = {}
-    for mono, coeff in f.items():
-        if mono[var]:
-            lowered = tuple(e - 1 if i == var else e for i, e in enumerate(mono))
-            expected[lowered] = coeff * mono[var]
     derivative = f.diff(var)
-    assert dict(derivative.items()) == expected
+    assert dict(derivative.items()) == reference_derivative(f, var)
     assert_normal_form(derivative)
+
+
+@given(large_factors, large_factors, st.sampled_from(list(VarId)))
+def test_large_exponents_match_reference(f, g, var):
+    assert_normal_form(f)
+    product, total, derivative = f * g, f + g, f.diff(var)
+    assert dict(product.items()) == reference_product(f, g)
+    assert dict(total.items()) == reference_sum(f, g)
+    assert dict(derivative.items()) == reference_derivative(f, var)
+    for result in (product, total, f - g, derivative):
+        assert_normal_form(result)
 
 
 @given(factors, st.sampled_from(list(VarId)))

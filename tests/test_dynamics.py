@@ -393,12 +393,14 @@ def _bad_time(bad: float) -> TimePoint:
 
 _LOOP = Path.from_pairs([(0, 0), (0.3, 0), (0, 0)])
 
-# Every public float-layer entry point, fed one non-finite number.
+# Every public float-layer entry point, fed one number that is not a finite
+# float: NaN, an infinity, or an int too large for a float.
 ENTRY_POINTS = {
     "PhaseState": _bad_state,
     "TimePoint": _bad_time,
     "Path.from_pairs": lambda bad: Path.from_pairs([(0, 0), (bad, 0.5)]),
     "IntegratorConfig.alpha": lambda bad: IntegratorConfig(alpha=bad),
+    "IntegratorConfig.max_step": lambda bad: IntegratorConfig(max_step=bad),
     "IntegratorConfig.lambdas": lambda bad: IntegratorConfig(lambdas=(0.5, bad)),
     "snapshot.state": lambda bad: snapshot(True, _bad_state(bad), ORIGIN),
     "snapshot.time": lambda bad: snapshot(True, REFERENCE, _bad_time(bad)),
@@ -416,7 +418,9 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "huge-int"]
+)
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 def test_non_finite_input_is_a_value_error(entry, bad, monkeypatch):
     # Bad input is rejected where the value is made, before any model is
