@@ -9,18 +9,23 @@ at configurable spectral-parameter samples; a trajectory keeps one row of
 floats per sample, in the column order of its CSV/JSON export.
 
 Integrators: classic fixed-step RK4 and an adaptive Dormand-Prince 5(4)
-pair, both on plain 4-float tuples with the stage sums written out.
-Right-hand sides and diagnostics are the generated functions of
-`hhlax.kernels`, with the runtime value of alpha folded exactly into the
-polynomials beforehand.  The two fields and the whole diagnostics row of one
-(model, alpha, lambdas) are compiled together and kept in one cache of at
-most 64 entries, so a sweep over alpha runs in bounded memory.  The
+pair, both on plain 4-float tuples with the stage sums written out and the
+step-size limits written as comparisons, not `min`/`max` calls.  Each stage
+makes one call to a generated right-hand side of `hhlax.kernels`: the
+field itself for an autonomous flow, and for a Pfaffian path segment a
+closure with both fields written out inside it.  The diagnostics row is
+generated as well.  The runtime value of alpha is folded exactly into the
+polynomials beforehand.  The right-hand sides and the diagnostics row of
+one (model, alpha, lambdas) are compiled together and kept in one cache of
+at most 64 entries, so a sweep over alpha runs in bounded memory.  The
 generated code refuses the x2 = 0 singular set itself.  A run keeps no
 shared mutable state, so independent integrations may proceed in parallel.
 
 Bad input is a `ValueError` raised where the value is made: `PhaseState`,
 `TimePoint` and `IntegratorConfig` hold finite numbers only, so the functions
 below check no number again (a raw alpha goes through `IntegratorConfig`).
+An int state, time or duration becomes a float where a run starts, so every
+cell of a trajectory row is a float.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .algebra import LaurentPoly, VarId
-from .kernels import CompiledPolySet, NonFiniteState, SingularState, compile_diagnostics
+from .kernels import CompiledPolySet, NonFiniteState, SingularState, compile_diagnostics, compile_flows
 from .model import (
     hamiltonian_vector_field,
     hamiltonians,
@@ -286,18 +291,24 @@ class Trajectory:
 
 # -- generated right-hand sides and diagnostics ---------------------------
 
-# field(x1, x2, p1, p2, t1, t2, lam, alpha) -> (dx1, dx2, dp1, dp2).  The
-# Hamiltonians have no lam and alpha is folded in, so both are passed as
-# constants.
-Field = Callable[..., State4]
+# rhs(s, x1, x2, p1, p2) -> (dx1, dx2, dp1, dp2), the stepper's right-hand side
+Rhs = Callable[[float, float, float, float, float], State4]
+# flow(s, x1, x2, p1, p2, t1=0.0, t2=0.0) -> Y_k, an Rhs of the autonomous flow k
+Flow = Callable[..., State4]
+# segment(t1_start, t2_start, w1, w2) -> the Rhs w1 * Y_1 + w2 * Y_2 along
+# t = start + s * (w1, w2)
+Segment = Callable[[float, float, float, float], Rhs]
 # diag(s, t1, t2, (x1, x2, p1, p2)) -> one trajectory row
 Diagnostics = Callable[..., list]
 
 
 @lru_cache(maxsize=64)
-def _compiled(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> tuple[Field, Field, Diagnostics]:
-    """The generated fields Y_1, Y_2 and diagnostics row of one model,
-    alpha and set of lambda samples, with alpha folded in.
+def _compiled(
+    deformed: bool, alpha: float, lambdas: tuple[float, ...]
+) -> tuple[Flow, Flow, Segment, Diagnostics]:
+    """The generated right-hand sides of Y_1, Y_2 and of a path segment, and
+    the diagnostics row, of one model, alpha and set of lambda samples, with
+    alpha folded in.
 
     Callers pass alpha and the lambdas as floats: the lambdas become the
     defaults of the generated `diag`.
@@ -312,8 +323,10 @@ def _compiled(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> tuple
     hams = hamiltonians(deformed)
     try:
         return (
-            CompiledPolySet(fold(hamiltonian_vector_field(hams.h1).components)).evaluate,
-            CompiledPolySet(fold(hamiltonian_vector_field(hams.h2).components)).evaluate,
+            *compile_flows(
+                fold(hamiltonian_vector_field(hams.h1).components),
+                fold(hamiltonian_vector_field(hams.h2).components),
+            ),
             compile_diagnostics(*fold((hams.h1, hams.h2, lax_matrices(deformed).L.det())), lambdas),
         )
     except OverflowError as exc:  # a folded coefficient beyond the float range
@@ -322,6 +335,10 @@ def _compiled(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> tuple
 
 def _initial_state(state: PhaseState) -> State4:
     return (float(state.x1), float(state.x2), float(state.p1), float(state.p2))
+
+
+def _initial_time(t: TimePoint) -> tuple[float, float]:
+    return (float(t.t1), float(t.t2))
 
 
 def flow_rhs(
@@ -336,9 +353,8 @@ def flow_rhs(
         raise ValueError("flow index must be 1 or 2")
     # With the default lambdas the fields share their entry with default runs.
     cfg = IntegratorConfig(alpha=alpha)
-    field1, field2, _ = _compiled(deformed, float(cfg.alpha), cfg.lambdas)
-    field = field1 if k == 1 else field2
-    return field(state.x1, state.x2, state.p1, state.p2, t.t1, t.t2, 1.0, 0.0)
+    flow = _compiled(deformed, float(cfg.alpha), cfg.lambdas)[k - 1]
+    return flow(0.0, *_initial_state(state), *_initial_time(t))
 
 
 # -- steppers ------------------------------------------------------------
@@ -365,10 +381,6 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     11 / 84 - 187 / 2100,
     0.0 - 1 / 40,
 )
-
-# rhs(s, x1, x2, p1, p2) -> (dx1, dx2, dp1, dp2)
-Rhs = Callable[[float, float, float, float, float], State4]
-
 
 def _non_finite(s: float, y: State4) -> NonFiniteState:
     return NonFiniteState(f"state {y!r} is not finite at s = {s!r}")
@@ -402,7 +414,9 @@ def _integrate_rk4(rhs: Rhs, s_end: float, y0: State4, max_step: float) -> list[
 def _integrate_dp45(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -> list[tuple[float, State4]]:
     # Step-size control as in Hairer, Norsett & Wanner, Solving ODEs I,
     # section II.4: RMS error norm with mixed absolute/relative scale,
-    # safety factor 0.9 and growth limited to [0.2, 5].
+    # safety factor 0.9 and growth limited to [0.2, 5].  `max(a, b)` is
+    # written `b if b > a else a` and `min(a, b)` as `b if b < a else a`:
+    # the same result, ties and NaN included, without a builtin call.
     isfinite, sqrt = math.isfinite, math.sqrt
     abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
     h_min = _MIN_STEP_FRACTION * max(1.0, s_end)
@@ -412,7 +426,7 @@ def _integrate_dp45(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -
     h = min(max_step, s_end)
     a1, a2, a3, a4 = rhs(s, y1, y2, y3, y4)
     while s < s_end:
-        h = min(h, max_step)
+        h = max_step if max_step < h else h
         # A step that would leave less than h_min of the span becomes the
         # last one, instead of leaving a sliver no step can cover.
         is_last = s_end - s - h < h_min
@@ -460,17 +474,19 @@ def _integrate_dp45(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -
         n3 = y3 + h * (0.0 + _B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3)
         n4 = y4 + h * (0.0 + _B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)
         g1, g2, g3, g4 = rhs(s + h, n1, n2, n3, n4)
+        u1, u2, u3, u4 = abs(y1), abs(y2), abs(y3), abs(y4)
+        m1, m2, m3, m4 = abs(n1), abs(n2), abs(n3), abs(n4)
         r1 = h * (0.0 + _E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1) / (
-            abs_tol + rel_tol * max(abs(y1), abs(n1))
+            abs_tol + rel_tol * (m1 if m1 > u1 else u1)
         )
         r2 = h * (0.0 + _E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2) / (
-            abs_tol + rel_tol * max(abs(y2), abs(n2))
+            abs_tol + rel_tol * (m2 if m2 > u2 else u2)
         )
         r3 = h * (0.0 + _E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3) / (
-            abs_tol + rel_tol * max(abs(y3), abs(n3))
+            abs_tol + rel_tol * (m3 if m3 > u3 else u3)
         )
         r4 = h * (0.0 + _E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4) / (
-            abs_tol + rel_tol * max(abs(y4), abs(n4))
+            abs_tol + rel_tol * (m4 if m4 > u4 else u4)
         )
         norm = sqrt((r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4) / 4)
         if norm <= 1.0:
@@ -480,10 +496,15 @@ def _integrate_dp45(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -
                 raise _non_finite(s, (y1, y2, y3, y4))
             a1, a2, a3, a4 = g1, g2, g3, g4  # FSAL: g was evaluated at (s, y)
             samples.append((s, (y1, y2, y3, y4)))
-            factor = 5.0 if norm == 0.0 else min(5.0, 0.9 * norm**-0.2)
+            if norm == 0.0:
+                factor = 5.0
+            else:
+                factor = 0.9 * norm**-0.2
+                factor = factor if factor < 5.0 else 5.0
         else:
             # a still holds f(s, y); only shrink the step.
-            factor = max(0.2, 0.9 * norm**-0.2)
+            factor = 0.9 * norm**-0.2
+            factor = factor if factor > 0.2 else 0.2
         h = h * factor
     return samples
 
@@ -513,8 +534,8 @@ def snapshot(
 ) -> Trajectory:
     """Single-sample trajectory: the diagnostics of one (state, t) point."""
     cfg = cfg or IntegratorConfig()
-    _, _, diag = _compiled(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
-    return Trajectory([diag(0.0, t.t1, t.t2, _initial_state(state))], cfg.lambdas)
+    diag = _compiled(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))[3]
+    return Trajectory([diag(0.0, *_initial_time(t), _initial_state(state))], cfg.lambdas)
 
 
 def integrate_autonomous(
@@ -530,41 +551,11 @@ def integrate_autonomous(
         raise ValueError("flow index must be 1 or 2")
     if not _is_finite(duration) or duration < 0:
         raise ValueError("duration must be finite and nonnegative")
-    y0 = _initial_state(state0)
+    y0, duration = _initial_state(state0), float(duration)
     _check_step_budget(duration, cfg.max_step)
-    field1, field2, diag = _compiled(False, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
-    field = field1 if k == 1 else field2
-
-    def rhs(s: float, x1: float, x2: float, p1: float, p2: float) -> State4:
-        return field(x1, x2, p1, p2, 0.0, 0.0, 1.0, 0.0)
-
-    steps = _integrate_ode(rhs, duration, y0, cfg)
+    flow1, flow2, _, diag = _compiled(False, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
+    steps = _integrate_ode(flow1 if k == 1 else flow2, duration, y0, cfg)
     return Trajectory([diag(s, s if k == 1 else 0.0, s if k == 2 else 0.0, y) for s, y in steps], cfg.lambdas)
-
-
-def _segment_rhs(field1: Field, field2: Field, start: TimePoint, w1: float, w2: float) -> Rhs:
-    """w1 * Y_1 + w2 * Y_2 along t = start + s * (w1, w2); zero weights skip their field."""
-    t1_start, t2_start = start.t1, start.t2
-
-    def rhs(s: float, x1: float, x2: float, p1: float, p2: float) -> State4:
-        t1v = t1_start + w1 * s
-        t2v = t2_start + w2 * s
-        r1 = r2 = r3 = r4 = 0.0
-        if w1:
-            f1, f2, f3, f4 = field1(x1, x2, p1, p2, t1v, t2v, 1.0, 0.0)
-            r1 += w1 * f1
-            r2 += w1 * f2
-            r3 += w1 * f3
-            r4 += w1 * f4
-        if w2:
-            f1, f2, f3, f4 = field2(x1, x2, p1, p2, t1v, t2v, 1.0, 0.0)
-            r1 += w2 * f1
-            r2 += w2 * f2
-            r3 += w2 * f3
-            r4 += w2 * f4
-        return (r1, r2, r3, r4)
-
-    return rhs
 
 
 def integrate_pfaffian(
@@ -587,15 +578,14 @@ def integrate_pfaffian(
     y = _initial_state(state0)
     for start, stop in path.segments():
         _check_step_budget(math.hypot(stop.t1 - start.t1, stop.t2 - start.t2), cfg.max_step)
-    field1, field2, diag = _compiled(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
+    _, _, segment, diag = _compiled(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
 
     s_offset = 0.0
-    raw: list[tuple[float, float, float, State4]] = [(0.0, t0.t1, t0.t2, y)]
+    raw: list[tuple[float, float, float, State4]] = [(0.0, *_initial_time(t0), y)]
     for start, stop in path.segments():
         d1, d2 = stop.t1 - start.t1, stop.t2 - start.t2
         length = math.hypot(d1, d2)
-        rhs = _segment_rhs(field1, field2, start, d1 / length, d2 / length)
-        steps = _integrate_ode(rhs, length, y, cfg)
+        steps = _integrate_ode(segment(start.t1, start.t2, d1 / length, d2 / length), length, y, cfg)
         for s, y_step in steps[1:]:
             fraction = s / length
             raw.append((s_offset + s, start.t1 + d1 * fraction, start.t2 + d2 * fraction, y_step))

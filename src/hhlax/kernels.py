@@ -22,18 +22,28 @@ so no evaluation divides by a value within 1e-12 of zero.  Once
 alpha is folded in, the deformation's `x2^-2`/`x2^-3` terms are the only
 negative powers, and alpha = 0 removes them together with the guard.
 
-`compile_diagnostics` emits h1 and h2 once and det L once per
-spectral-parameter sample, each under its own parameter name, in one
-function that returns a whole diagnostics row.
+Two kinds of generated function feed the steppers and the trajectory rows:
+
+- `compile_flows` turns the two Hamiltonian vector fields into the steppers'
+  right-hand sides `rhs(s, x1, x2, p1, p2)`: one function per autonomous
+  flow, and one closure per Pfaffian path segment with both fields and
+  their guards written out inside it.  A stepper stage is one call, with no
+  constant arguments passed and no field called through a wrapper.
+- `compile_diagnostics` emits h1 and h2 once and det L once per
+  spectral-parameter sample, each under its own parameter name, in one
+  function that returns a whole diagnostics row.  The lambda-free prefix
+  `c*x1*p2*p2` of each det L term is computed once per row and shared by
+  the samples; lambda comes last in `VarId` order, so every chain keeps its
+  order of operations.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .algebra import LaurentPoly
+from .algebra import LaurentPoly, VarId
 
-__all__ = ["CompiledPolySet", "NonFiniteState", "SingularState", "compile_diagnostics"]
+__all__ = ["CompiledPolySet", "NonFiniteState", "SingularState", "compile_diagnostics", "compile_flows"]
 
 # A variable at a negative power whose value is this close to zero counts as
 # sitting on the singular set.
@@ -57,21 +67,26 @@ class NonFiniteState(RuntimeError):
     instance when a fixed step steps through a blow-up."""
 
 
-def _term_source(mono: tuple[int, ...], coeff: float, names: Sequence[str]) -> str:
-    parts = [repr(coeff)]
+def _chain(mono: Sequence[int], names: Sequence[str]) -> str:
+    """`*x1*p2*p2`: one multiplication or division per unit of exponent."""
+    parts = []
     for name, exp in zip(names, mono):
         op = "*" if exp > 0 else "/"
         parts.extend(f"{op}{name}" for _ in range(abs(exp)))
     return "".join(parts)
 
 
-def _poly_source(target: str, poly: LaurentPoly, names: Sequence[str]) -> list[str]:
-    terms = [_term_source(mono, float(coeff), names) for mono, coeff in poly.sorted_terms()]
+def _sum_source(target: str, terms: Sequence[str]) -> list[str]:
     lines = [f"    {target} = 0.0" + "".join(f" + {t}" for t in terms[:_TERMS_PER_LINE])]
     for start in range(_TERMS_PER_LINE, len(terms), _TERMS_PER_LINE):
         chunk = terms[start:start + _TERMS_PER_LINE]
         lines.append(f"    {target} = {target}" + "".join(f" + {t}" for t in chunk))
     return lines
+
+
+def _poly_source(target: str, poly: LaurentPoly, names: Sequence[str]) -> list[str]:
+    terms = [repr(float(coeff)) + _chain(mono, names) for mono, coeff in poly.sorted_terms()]
+    return _sum_source(target, terms)
 
 
 def _guard_source(named_polys: Sequence[tuple[LaurentPoly, Sequence[str]]]) -> list[str]:
@@ -89,12 +104,13 @@ def _guard_source(named_polys: Sequence[tuple[LaurentPoly, Sequence[str]]]) -> l
     return lines
 
 
-def _compile(lines: list[str], name: str) -> Callable:
+def _compile(lines: list[str], *names: str) -> tuple[Callable, ...]:
     namespace: dict = {"SingularState": SingularState, "NonFiniteState": NonFiniteState}
     exec(compile("\n".join(lines) + "\n", "<hhlax.kernels>", "exec"), namespace)
-    # Popped, so that the function and its globals form no reference cycle
-    # and a dropped function is freed at once, without a cyclic collection.
-    return namespace.pop(name)
+    # Popped, so that the functions and their globals form no reference
+    # cycle and a dropped function is freed at once, without a cyclic
+    # collection.
+    return tuple(namespace.pop(name) for name in names)
 
 
 class CompiledPolySet:
@@ -114,10 +130,74 @@ class CompiledPolySet:
         for target, poly in zip(targets, polys):
             lines.extend(_poly_source(target, poly, _ARGUMENTS))
         lines.append(f"    return ({''.join(t + ', ' for t in targets)})")
-        self.evaluate: Callable[..., tuple[float, ...]] = _compile(lines, "evaluate")
+        (self.evaluate,) = _compile(lines, "evaluate")
 
     def __call__(self, vals: Sequence[float]) -> tuple[float, ...]:
         return self.evaluate(*vals)
+
+
+def compile_flows(
+    field1: Sequence[LaurentPoly], field2: Sequence[LaurentPoly]
+) -> tuple[Callable[..., tuple], Callable[..., tuple], Callable[..., Callable]]:
+    """The stepper right-hand sides of two vector fields (dx1, dx2, dp1, dp2)
+    in x1, x2, p1, p2, t1 and t2, compiled together.
+
+    Returns `(flow1, flow2, segment)`:
+
+    - `flow_k(s, x1, x2, p1, p2, t1=0.0, t2=0.0)` is field k, with `s`
+      ignored, so that it is the right-hand side of the autonomous flow k;
+    - `segment(t1_start, t2_start, w1, w2)` returns `rhs(s, x1, x2, p1, p2)`
+      = w1 * field1 + w2 * field2 at t = start + s * (w1, w2), summed as
+      `r = 0.0; r += w1*f; r += w2*g`.  A zero weight skips its field, and
+      with it that field's singular-set guard.
+    """
+    if any(p.depends_on(v) for p in (*field1, *field2) for v in (VarId.LAMBDA, VarId.ALPHA)):
+        raise ValueError("a stepper field depends on x and t only; fold alpha first")
+    bodies = []
+    for polys in (field1, field2):
+        body = _guard_source([(poly, _ARGUMENTS) for poly in polys])
+        for i, poly in enumerate(polys):
+            body += _poly_source(f"f{i}", poly, _ARGUMENTS)
+        bodies.append(body)
+    lines = []
+    for k, body in enumerate(bodies, 1):
+        lines += [f"def flow{k}(s, x1, x2, p1, p2, t1=0.0, t2=0.0):", *body, "    return (f0, f1, f2, f3)"]
+    lines += [
+        "def segment(t1_start, t2_start, w1, w2):",
+        "    def rhs(s, x1, x2, p1, p2):",
+        "        t1 = t1_start + w1 * s",
+        "        t2 = t2_start + w2 * s",
+        "        r0 = r1 = r2 = r3 = 0.0",
+    ]
+    for k, body in enumerate(bodies, 1):
+        lines.append(f"        if w{k}:")
+        lines += ["        " + line for line in body]
+        lines += [f"            r{i} += w{k} * f{i}" for i in range(4)]
+    lines += ["        return (r0, r1, r2, r3)", "    return rhs"]
+    return _compile(lines, "flow1", "flow2", "segment")
+
+
+def _det_source(det: LaurentPoly, lams: Sequence[str]) -> tuple[list[str], list[list[str]]]:
+    """det L once per lambda sample, sharing each term's lambda-free prefix.
+
+    Every term is a chain `c*x1*...*lam*lam` with lam last, so the prefix
+    `q = c*x1*...` is computed once and each `d_j` term is `q*lam_j*...`:
+    the same multiplications in the same order as the whole chain.
+    """
+    prefixes: dict[str, str] = {}
+    lam_index = VarId.LAMBDA
+    terms = []
+    for mono, coeff in det.sorted_terms():
+        prefix = repr(float(coeff)) + _chain(mono[:lam_index], _ARGUMENTS)
+        if any(mono[:lam_index]):  # a bare coefficient stays a literal
+            prefix = prefixes.setdefault(prefix, f"q{len(prefixes)}")
+        terms.append((prefix, mono[lam_index]))
+    shared = [f"    {name} = {source}" for source, name in prefixes.items()]
+    per_lambda = [
+        _sum_source(f"d{j}", [prefix + _chain((exp,), (lam,)) for prefix, exp in terms])
+        for j, lam in enumerate(lams)
+    ]
+    return shared, per_lambda
 
 
 def compile_diagnostics(
@@ -143,15 +223,18 @@ def compile_diagnostics(
         "        raise NonFiniteState(f'h1 = {h1!r}, h2 = {h2!r} are not finite at s = {s!r}')",
     ]
     row = "s, t1, t2, x1, x2, p1, p2, h1, h2"
-    for j, names in enumerate(det_names):
-        message = f"det L({{lam{j}!r}}) = {{d{j}!r}} is not finite at state {{y!r}}"
-        lines += _poly_source(f"d{j}", det, names) + [
-            f"    if not isfinite(d{j}):",
-            f"        raise NonFiniteState(f'{message}')",
-            f"    e{j} = sqrt(complex(-d{j}))",
-        ]
-        row += f", e{j}.real, e{j}.imag"
+    if lams:
+        shared, per_lambda = _det_source(det, lams)
+        lines += shared
+        for j, det_lines in enumerate(per_lambda):
+            message = f"det L({{lam{j}!r}}) = {{d{j}!r}} is not finite at state {{y!r}}"
+            lines += det_lines + [
+                f"    if not isfinite(d{j}):",
+                f"        raise NonFiniteState(f'{message}')",
+                f"    e{j} = sqrt(complex(-d{j}))",
+            ]
+            row += f", e{j}.real, e{j}.imag"
     lines.append(f"    return [{row}]")
-    diag = _compile(lines, "diag")
+    (diag,) = _compile(lines, "diag")
     diag.__defaults__ = tuple(lambdas)
     return diag

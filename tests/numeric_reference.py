@@ -5,15 +5,21 @@ The package evaluates polynomials only through the generated kernels of
 instead of multiply chains, `math.fsum` instead of a left-to-right sum), so
 the tests can compare the kernels against it.  `reference_diagnostics` computes a
 diagnostics row the way it was computed before one generated function
-produced it, so the tests can compare that function bit for bit.
+produced it, so the tests can compare that function bit for bit.  `reference_fields`,
+`reference_autonomous_rhs` and `reference_segment_rhs` compute the stepper
+right-hand sides the way they were computed before they were generated as
+whole functions, with each field a separate kernel called with constant
+arguments.
 """
 
 import cmath
 import math
+from fractions import Fraction
 from typing import Mapping
 
 from hhlax.algebra import DivisionByZero, LaurentPoly, VarId
 from hhlax.kernels import CompiledPolySet
+from hhlax.model import hamiltonian_vector_field, hamiltonians
 
 
 class MissingAssignment(LookupError):
@@ -61,3 +67,49 @@ def reference_diagnostics(h1, h2, det, lambdas):
         return values
 
     return row
+
+
+def reference_fields(deformed, alpha):
+    """Y_1 and Y_2 of one model with alpha folded in, each one kernel
+    `field(x1, x2, p1, p2, t1, t2, lam, alpha)`."""
+    hams = hamiltonians(deformed)
+    value = Fraction(alpha)
+    return tuple(
+        CompiledPolySet(
+            [c.substitute_rational(VarId.ALPHA, value) for c in hamiltonian_vector_field(h).components]
+        ).evaluate
+        for h in (hams.h1, hams.h2)
+    )
+
+
+def reference_autonomous_rhs(field):
+    """`rhs(s, x1, x2, p1, p2)` of an autonomous flow."""
+
+    def rhs(s, x1, x2, p1, p2):
+        return field(x1, x2, p1, p2, 0.0, 0.0, 1.0, 0.0)
+
+    return rhs
+
+
+def reference_segment_rhs(field1, field2, t1_start, t2_start, w1, w2):
+    """w1 * Y_1 + w2 * Y_2 along t = start + s * (w1, w2); zero weights skip their field."""
+
+    def rhs(s, x1, x2, p1, p2):
+        t1v = t1_start + w1 * s
+        t2v = t2_start + w2 * s
+        r1 = r2 = r3 = r4 = 0.0
+        if w1:
+            f1, f2, f3, f4 = field1(x1, x2, p1, p2, t1v, t2v, 1.0, 0.0)
+            r1 += w1 * f1
+            r2 += w1 * f2
+            r3 += w1 * f3
+            r4 += w1 * f4
+        if w2:
+            f1, f2, f3, f4 = field2(x1, x2, p1, p2, t1v, t2v, 1.0, 0.0)
+            r1 += w2 * f1
+            r2 += w2 * f2
+            r3 += w2 * f3
+            r4 += w2 * f4
+        return (r1, r2, r3, r4)
+
+    return rhs

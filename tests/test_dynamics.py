@@ -382,6 +382,25 @@ class TestConfigAndExport:
         assert via_snapshot.samples[0].h1 == via_run.samples[0].h1
         assert via_snapshot.samples[0].eigenvalues == via_run.samples[0].eigenvalues
 
+    def test_int_input_gives_float_rows(self):
+        # Ints become floats where the run starts, so every row cell, time
+        # included, is a float and exports as one.
+        state, t0 = PhaseState(1, 1, 0, 0), TimePoint(0, 0)
+        path = Path((t0, TimePoint(1, 0), TimePoint(1, 1), t0))
+        cfg = IntegratorConfig(max_step=0.1)
+        trajectories = [
+            integrate_pfaffian(state, t0, path, cfg),
+            integrate_autonomous(2, state, 1, cfg),
+            snapshot(True, state, TimePoint(0, 1)),
+        ]
+        for trajectory in trajectories:
+            assert all(type(cell) is float for row in trajectory.rows() for cell in row)
+        first = trajectories[0].samples[0].t
+        assert (type(first.t1), type(first.t2)) == (float, float)
+        buffer = io.StringIO()
+        trajectories[0].write_csv(buffer)
+        assert buffer.getvalue().splitlines()[1].startswith("0.0,0.0,0.0,1.0,1.0,0.0,0.0,")
+
 
 def _bad_state(bad: float) -> PhaseState:
     return PhaseState(1.0, bad, 0.0, 0.0)

@@ -44,6 +44,15 @@ def t2_rk4_alpha_run() -> Trajectory:
     return integrate_autonomous(2, REFERENCE, 0.7, cfg)
 
 
+def step_control_run() -> Trajectory:
+    """A deformed Pfaffian loop whose DP45 steps reach every branch of the
+    step-size control: rejected steps, the 0.2 shrink floor, the 5x growth
+    cap and the max_step cap (each segment starts at h = max_step)."""
+    cfg = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8, max_step=0.05, alpha=0.05)
+    loop = Path.from_pairs([(0, 0), (0.69, 0), (0.69, 0.3), (0, 0.3), (0, 0)])
+    return integrate_pfaffian(PhaseState(-0.9, 0.21, -0.09, -0.72), TimePoint(0.0, 0.0), loop, cfg)
+
+
 def _export(trajectory: Trajectory, name: str) -> str:
     buffer = io.StringIO()
     if name.endswith(".json"):
@@ -60,6 +69,7 @@ def _export(trajectory: Trajectory, name: str) -> str:
         pytest.param("pfaffian_loop_alpha.csv", alpha_loop_run, id="pfaffian_loop_alpha"),
         pytest.param("trajectory_t2_rk4_alpha.csv", t2_rk4_alpha_run, id="t2_rk4_alpha"),
         pytest.param("trajectory_reference.json", reference_run, id="reference_json"),
+        pytest.param("dp45_step_control.csv", step_control_run, id="dp45_step_control"),
     ],
 )
 def test_golden_trajectory(name, run, golden_dir):

@@ -1,6 +1,6 @@
 """Generated kernels: bit-for-bit agreement with a term-table interpreter,
-agreement with exact substitution, the generated singular-set guard, and the
-generated diagnostics row."""
+agreement with exact substitution, the generated singular-set guard, the
+generated stepper right-hand sides and the generated diagnostics row."""
 
 import gc
 import random
@@ -10,9 +10,15 @@ from fractions import Fraction
 import pytest
 
 from hhlax.algebra import LaurentPoly, Rational, VarId
-from hhlax.kernels import CompiledPolySet, NonFiniteState, SingularState, compile_diagnostics
-from hhlax.model import hamiltonians, lax_matrices
-from numeric_reference import reference_diagnostics, substitute_numeric
+from hhlax.kernels import CompiledPolySet, NonFiniteState, SingularState, compile_diagnostics, compile_flows
+from hhlax.model import hamiltonian_vector_field, hamiltonians, lax_matrices
+from numeric_reference import (
+    reference_autonomous_rhs,
+    reference_diagnostics,
+    reference_fields,
+    reference_segment_rhs,
+    substitute_numeric,
+)
 
 rng = random.Random(20240817)
 
@@ -128,6 +134,80 @@ def test_alpha_zero_table_has_no_guard():
     assert _bits(CompiledPolySet(polys).evaluate(*vals)) == _bits(interpret(polys, vals))
 
 
+# -- the stepper right-hand sides --------------------------------------------
+
+# The negative weights turn a zero field component into -0.0, which the
+# leading 0.0 of each sum turns back into 0.0.
+SEGMENT_WEIGHTS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.6, 0.8), (0.0, -1.0), (-0.6, -0.8)]
+
+
+def _flows(deformed: bool, alpha: float):
+    hams = hamiltonians(deformed)
+    fields = [
+        [c.substitute_rational(VarId.ALPHA, Fraction(alpha)) for c in hamiltonian_vector_field(h).components]
+        for h in (hams.h1, hams.h2)
+    ]
+    return compile_flows(*fields)
+
+
+def _rhs_points(alpha: float) -> list[tuple[float, ...]]:
+    """(s, x1, x2, p1, p2): random, plus signed zeros wherever the singular
+    set allows them."""
+    points = [(rng.uniform(0.0, 2.0), *_random_vals()[:4]) for _ in range(40)]
+    x2 = 0.7 if alpha else -0.0
+    points += [(0.0, 0.0, x2, -0.0, 0.0), (-0.0, -0.0, x2, 0.0, -0.0), (0.5, 1.0, x2, 0.0, -0.0)]
+    return points
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05])
+@pytest.mark.parametrize("k", [1, 2])
+def test_autonomous_rhs_matches_the_field_kernel_bit_for_bit(k, alpha):
+    flow = _flows(False, alpha)[k - 1]
+    reference = reference_autonomous_rhs(reference_fields(False, alpha)[k - 1])
+    for point in _rhs_points(alpha):
+        assert _bits(flow(*point)) == _bits(reference(*point))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05])
+@pytest.mark.parametrize("k", [1, 2])
+def test_flow_at_a_time_matches_the_field_kernel_bit_for_bit(k, alpha):
+    flow = _flows(True, alpha)[k - 1]
+    field = reference_fields(True, alpha)[k - 1]
+    for s, *y in _rhs_points(alpha):
+        t1, t2 = rng.choice([rng.uniform(-1.0, 1.0), 0.0, -0.0]), rng.choice([rng.uniform(-1.0, 1.0), -0.0])
+        assert _bits(flow(s, *y, t1, t2)) == _bits(field(*y, t1, t2, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("w1, w2", SEGMENT_WEIGHTS)
+@pytest.mark.parametrize("alpha", [0.0, 0.05])
+@pytest.mark.parametrize("deformed", [False, True])
+def test_segment_rhs_matches_the_field_kernels_bit_for_bit(deformed, alpha, w1, w2):
+    segment = _flows(deformed, alpha)[2]
+    fields = reference_fields(deformed, alpha)
+    for start in [(0.0, 0.0), (-0.0, 0.0), (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))]:
+        rhs = segment(*start, w1, w2)
+        reference = reference_segment_rhs(*fields, *start, w1, w2)
+        for point in _rhs_points(alpha):
+            assert _bits(rhs(*point)) == _bits(reference(*point))
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+def test_stepper_rhs_refuse_the_singular_set(deformed):
+    flow1, flow2, segment = _flows(deformed, 0.05)
+    rhs_list = [flow1, flow2] + [segment(0.1, 0.2, w1, w2) for w1, w2 in SEGMENT_WEIGHTS]
+    for rhs in rhs_list:
+        for x2 in (0.0, -0.0, 1e-13):
+            with pytest.raises(SingularState, match=f"x2 = {x2!r} is on the singular set"):
+                rhs(0.3, 1.0, x2, 0.5, -0.5)
+
+
+def test_stepper_fields_must_have_alpha_folded():
+    hams = hamiltonians(True)
+    fields = [hamiltonian_vector_field(h).components for h in (hams.h1, hams.h2)]
+    with pytest.raises(ValueError, match="fold alpha first"):
+        compile_flows(*fields)
+
+
 # -- the diagnostics row ---------------------------------------------------
 
 DEFAULT_LAMBDAS = (0.5, 1.0, 2.0)
@@ -199,8 +279,9 @@ def test_dropped_kernels_are_freed_without_a_cyclic_collection():
     try:
         diag = compile_diagnostics(*_diagnostics_polys(True, 0.05), DEFAULT_LAMBDAS)
         table = CompiledPolySet(_deformed_polys(Fraction(1, 20)))
-        refs = [weakref.ref(diag), weakref.ref(table.evaluate)]
-        del diag, table
-        assert [ref() for ref in refs] == [None, None]
+        flows = _flows(True, 0.05)
+        refs = [weakref.ref(diag), weakref.ref(table.evaluate), *map(weakref.ref, flows)]
+        del diag, table, flows
+        assert [ref() for ref in refs] == [None] * 5
     finally:
         gc.enable()
