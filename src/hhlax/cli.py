@@ -33,7 +33,6 @@ from .dynamics import (
     integrate_pfaffian,
     snapshot,
 )
-from .verify import run_checks, spectral_curve_coefficients
 
 _USAGE_ERROR = 2
 _RUNTIME_ERROR = 3
@@ -134,6 +133,8 @@ def _write_svg(trajectory: Trajectory, filename: str) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_checks
+
     reports = run_checks(args.filter)
     if not reports:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
@@ -199,6 +200,8 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     t = _parse_timepoint(args.t)
     lambdas = _parse_floats(args.lambdas, what="lambdas")
     deformed = _parse_bool(args.deformed)
+    from .verify import spectral_curve_coefficients
+
     # Computed before anything is printed, so a numeric failure leaves no
     # partial output behind.
     samples = eigenvalue_samples(deformed, state, t, args.alpha, lambdas)

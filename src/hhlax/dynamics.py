@@ -30,8 +30,6 @@ cell of a trajectory row is a float.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -268,6 +266,8 @@ class Trajectory:
         return self._rows
 
     def write_csv(self, stream) -> None:
+        import csv
+
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(self.column_names())
         for row in self._rows:
@@ -283,6 +283,8 @@ class Trajectory:
 
     def write_json(self, stream) -> dict:
         """Writes `to_json_dict()` and returns it."""
+        import json
+
         payload = self.to_json_dict()
         json.dump(payload, stream, indent=1)
         stream.write("\n")

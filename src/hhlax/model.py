@@ -104,13 +104,22 @@ class LaxTriple:
         raise ValueError("flow index must be 1 or 2")
 
 
+@lru_cache(maxsize=None)
 def recursion_matrix() -> PolyMatrix2:
-    """Step matrix of the separable-potential hierarchy."""
+    """Step matrix of the separable-potential hierarchy.
+
+    Built once: every call returns the same shared matrix, as `lax_matrices`
+    shares its triple, so callers must not reassign its entries.
+    """
     return PolyMatrix2(x1, 1, _QUARTER * x2**2, 0)
 
 
+@lru_cache(maxsize=None)
 def recursion_matrix_inverse() -> PolyMatrix2:
-    """Exact inverse adj(R)/det(R); det R = -x2^2/4 is a Laurent unit."""
+    """Exact inverse adj(R)/det(R); det R = -x2^2/4 is a Laurent unit.
+
+    Built once and shared like `recursion_matrix()`.
+    """
     step = recursion_matrix()
     adjugate = PolyMatrix2(step.e22, -step.e12, -step.e21, step.e11)
     return adjugate * step.det().inverse_term()

@@ -373,3 +373,41 @@ def test_equal_values_have_equal_hashes(scalar, f):
             if a == b:
                 assert hash(a) == hash(b)
     assert len({scalar, Fraction(scalar), constant}) == 1
+
+
+@settings(max_examples=60)
+@given(st.builds(PolyMatrix2, factors, factors, factors, factors), matrices)
+def test_commutator_matches_product_difference(a, b):
+    # The 6-product formula against the definition AB - BA.
+    assert mat_commutator(a, b) == a @ b - b @ a
+    assert mat_commutator(b, a) == b @ a - a @ b
+
+
+@given(factors, st.permutations(list(VarId)))
+def test_derivative_memo_returns_one_object(f, variables):
+    derivatives = [f.diff(var) for var in variables]
+    fresh = LaurentPoly(dict(f.items()))
+    for var, derivative in zip(variables, derivatives):
+        assert f.diff(var) is derivative
+        assert fresh.diff(var) == derivative
+        assert dict(derivative.items()) == reference_derivative(f, var)
+
+
+@given(factors, st.lists(st.sampled_from(list(VarId)), min_size=1, max_size=12))
+def test_derivative_memo_is_not_part_of_the_value(f, variables):
+    # g is an equal copy that is never differentiated.
+    g = LaurentPoly(dict(f.items()))
+    for var in variables:
+        f.diff(var).diff(var)
+    assert f == g and g == f
+    assert (hash(f), str(f), repr(f)) == (hash(g), str(g), repr(g))
+    assert dict(f.items()) == dict(g.items())
+    assert len({f, g}) == 1
+
+
+def test_overflowing_derivative_raises_on_every_call():
+    f = LaurentPoly.term((-(2**31 - 1), 0, 0, 0, 0, 0, 0, 0), 1)
+    for _ in range(3):
+        with pytest.raises(OverflowError):
+            f.diff(VarId.X1)
+    assert not f._diffs

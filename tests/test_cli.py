@@ -453,3 +453,14 @@ class TestUsage:
         result = run_python("-c", "import sys, hhlax.cli; print('numpy' in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+def test_import_leaves_subcommand_modules_unloaded():
+    # `-S` keeps the host's site hooks from importing json on their own.
+    code = (
+        "import sys, hhlax.cli\n"
+        "print(sorted(m for m in ('hhlax.verify', 'csv', 'json') if m in sys.modules))"
+    )
+    result = run_python("-S", "-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

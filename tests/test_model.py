@@ -104,6 +104,12 @@ class TestPotentialRecursion:
         product = recursion_matrix() @ recursion_matrix_inverse()
         assert product == type(product).identity()
 
+    def test_recursion_matrices_are_built_once(self):
+        assert recursion_matrix() is recursion_matrix()
+        assert recursion_matrix_inverse() is recursion_matrix_inverse()
+        assert str(recursion_matrix()) == "[[x1, 1], [1/4*x2^2, 0]]"
+        assert str(recursion_matrix_inverse()) == "[[0, 4*x2^-2], [1, -4*x1*x2^-2]]"
+
 
 class TestHamiltonians:
     def test_h2_contains_momentum_cross_term(self):
