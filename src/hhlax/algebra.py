@@ -542,15 +542,30 @@ def poisson_bracket(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 
 class PolyMatrix2:
-    """2x2 matrix with Laurent-polynomial entries."""
+    """2x2 matrix with Laurent-polynomial entries.
+
+    The entries are read-only: the model shares its matrices (the Lax
+    triples and the recursion matrices) with every caller, so none may
+    change them for the others.
+    """
 
     __slots__ = ("e11", "e12", "e21", "e22")
 
     def __init__(self, e11, e12, e21, e22):
-        self.e11 = _require_poly(e11)
-        self.e12 = _require_poly(e12)
-        self.e21 = _require_poly(e21)
-        self.e22 = _require_poly(e22)
+        init = object.__setattr__
+        init(self, "e11", _require_poly(e11))
+        init(self, "e12", _require_poly(e12))
+        init(self, "e21", _require_poly(e21))
+        init(self, "e22", _require_poly(e22))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolyMatrix2 entries are read-only (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PolyMatrix2 entries are read-only (cannot delete {name!r})")
+
+    def __reduce__(self):
+        return (PolyMatrix2, self.entries())
 
     @classmethod
     def identity(cls) -> "PolyMatrix2":

@@ -15,9 +15,10 @@ makes one call to a generated right-hand side of `hhlax.kernels`: the
 field itself for an autonomous flow, and for a Pfaffian path segment a
 closure with both fields written out inside it.  The diagnostics row is
 generated as well.  The runtime value of alpha is folded exactly into the
-polynomials beforehand.  The right-hand sides and the diagnostics row of
-one (model, alpha, lambdas) are compiled together and kept in one cache of
-at most 64 entries, so a sweep over alpha runs in bounded memory.  The
+polynomials beforehand.  The right-hand sides of one (model, alpha) and the
+diagnostics row of one (model, alpha, lambdas) are compiled when first
+asked for, each kept in a cache of at most 64 entries, so a snapshot
+compiles no stepper and a sweep over alpha runs in bounded memory.  The
 generated code refuses the x2 = 0 singular set itself.  A run keeps no
 shared mutable state, so independent integrations may proceed in parallel.
 
@@ -31,9 +32,12 @@ cell of a trajectory row is a float.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .algebra import LaurentPoly, VarId
@@ -192,6 +196,32 @@ def _sample(row: list[float]) -> TrajectorySample:
     )
 
 
+def _drift(column: tuple[float, ...]) -> float:
+    """The largest abs(value - first value) of a column."""
+    return max(map(abs, map(sub, column, repeat(column[0]))))
+
+
+def _eigenvalue_drift(columns: list[tuple[float, ...]]) -> float:
+    """The largest abs(complex(re, im) - first) over the eigenvalue columns
+    (re, im, re, im, ...), 0.0 with none.
+
+    det L is real, so an eigenvalue is typically real or imaginary all along
+    a trajectory, and one of its two columns keeps its first value.  The
+    difference in that column is then +-0.0, and abs(complex(delta, +-0.0))
+    is abs(delta): the drift of the other column, bit for bit.
+    """
+    drift = 0.0
+    for re, im in zip(columns[::2], columns[1::2]):
+        if im.count(im[0]) == len(im):
+            pair = _drift(re)
+        elif re.count(re[0]) == len(re):
+            pair = _drift(im)
+        else:
+            pair = max(map(abs, map(sub, map(complex, re, im), repeat(complex(re[0], im[0])))))
+        drift = pair if pair > drift else drift
+    return drift
+
+
 class _Samples(Sequence[TrajectorySample]):
     """A trajectory's rows as TrajectorySample objects, each built when read."""
 
@@ -226,30 +256,25 @@ class Trajectory:
     def final_time(self) -> TimePoint:
         return TimePoint(*self._rows[-1][1:3])
 
-    def _column_drift(self, column: int) -> float:
-        first = self._rows[0][column]
-        return max(abs(row[column] - first) for row in self._rows)
+    def _columns(self) -> list[tuple[float, ...]]:
+        return list(zip(*self._rows))
 
     def h1_drift(self) -> float:
-        return self._column_drift(_H1)
+        return _drift(self._columns()[_H1])
 
     def h2_drift(self) -> float:
-        return self._column_drift(_H2)
+        return _drift(self._columns()[_H2])
 
     def eigenvalue_drift(self) -> float:
-        first = self._rows[0]
-        references = [(j, complex(first[j], first[j + 1])) for j in range(_EIG, len(first), 2)]
-        return max(
-            (abs(complex(row[j], row[j + 1]) - ref) for row in self._rows for j, ref in references),
-            default=0.0,
-        )
+        return _eigenvalue_drift(self._columns()[_EIG:])
 
     def summary(self) -> dict:
+        columns = self._columns()
         return {
             "samples": len(self._rows),
-            "h1_drift": self.h1_drift(),
-            "h2_drift": self.h2_drift(),
-            "eigenvalue_drift": self.eigenvalue_drift(),
+            "h1_drift": _drift(columns[_H1]),
+            "h2_drift": _drift(columns[_H2]),
+            "eigenvalue_drift": _eigenvalue_drift(columns[_EIG:]),
         }
 
     # -- export ---------------------------------------------------------
@@ -304,35 +329,37 @@ Segment = Callable[[float, float, float, float], Rhs]
 Diagnostics = Callable[..., list]
 
 
-@lru_cache(maxsize=64)
-def _compiled(
-    deformed: bool, alpha: float, lambdas: tuple[float, ...]
-) -> tuple[Flow, Flow, Segment, Diagnostics]:
-    """The generated right-hand sides of Y_1, Y_2 and of a path segment, and
-    the diagnostics row, of one model, alpha and set of lambda samples, with
-    alpha folded in.
-
-    Callers pass alpha and the lambdas as floats: the lambdas become the
-    defaults of the generated `diag`.
-    """
+def _fold(alpha: float, polys: Iterable[LaurentPoly]) -> list[LaurentPoly]:
     # Fraction(float) is exact, so folding loses nothing and alpha = 0
     # removes the singular terms, and with them the generated guard.
     value = Fraction(alpha)
+    return [p.substitute_rational(VarId.ALPHA, value) for p in polys]
 
-    def fold(polys: Iterable[LaurentPoly]) -> list[LaurentPoly]:
-        return [p.substitute_rational(VarId.ALPHA, value) for p in polys]
 
-    hams = hamiltonians(deformed)
+@contextmanager
+def _float_range(alpha: float):
     try:
-        return (
-            *compile_flows(
-                fold(hamiltonian_vector_field(hams.h1).components),
-                fold(hamiltonian_vector_field(hams.h2).components),
-            ),
-            compile_diagnostics(*fold((hams.h1, hams.h2, lax_matrices(deformed).L.det())), lambdas),
-        )
+        yield
     except OverflowError as exc:  # a folded coefficient beyond the float range
         raise ValueError(f"alpha = {alpha!r} is too large for the float kernels") from exc
+
+
+@lru_cache(maxsize=64)
+def _flows(deformed: bool, alpha: float) -> tuple[Flow, Flow, Segment]:
+    """The generated right-hand sides of Y_1, Y_2 and of a path segment of
+    one model, with alpha (a float) folded in."""
+    hams = hamiltonians(deformed)
+    with _float_range(alpha):
+        return compile_flows(*(_fold(alpha, hamiltonian_vector_field(h).components) for h in (hams.h1, hams.h2)))
+
+
+@lru_cache(maxsize=64)
+def _diagnostics(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> Diagnostics:
+    """The generated diagnostics row of one model, alpha and set of lambda
+    samples (floats), with alpha folded in."""
+    hams = hamiltonians(deformed)
+    with _float_range(alpha):
+        return compile_diagnostics(*_fold(alpha, (hams.h1, hams.h2, lax_matrices(deformed).L.det())), lambdas)
 
 
 def _initial_state(state: PhaseState) -> State4:
@@ -353,9 +380,7 @@ def flow_rhs(
     """
     if k not in (1, 2):
         raise ValueError("flow index must be 1 or 2")
-    # With the default lambdas the fields share their entry with default runs.
-    cfg = IntegratorConfig(alpha=alpha)
-    flow = _compiled(deformed, float(cfg.alpha), cfg.lambdas)[k - 1]
+    flow = _flows(deformed, float(IntegratorConfig(alpha=alpha).alpha))[k - 1]
     return flow(0.0, *_initial_state(state), *_initial_time(t))
 
 
@@ -536,7 +561,7 @@ def snapshot(
 ) -> Trajectory:
     """Single-sample trajectory: the diagnostics of one (state, t) point."""
     cfg = cfg or IntegratorConfig()
-    diag = _compiled(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))[3]
+    diag = _diagnostics(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
     return Trajectory([diag(0.0, *_initial_time(t), _initial_state(state))], cfg.lambdas)
 
 
@@ -555,7 +580,8 @@ def integrate_autonomous(
         raise ValueError("duration must be finite and nonnegative")
     y0, duration = _initial_state(state0), float(duration)
     _check_step_budget(duration, cfg.max_step)
-    flow1, flow2, _, diag = _compiled(False, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
+    flow1, flow2, _ = _flows(False, float(cfg.alpha))
+    diag = _diagnostics(False, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
     steps = _integrate_ode(flow1 if k == 1 else flow2, duration, y0, cfg)
     return Trajectory([diag(s, s if k == 1 else 0.0, s if k == 2 else 0.0, y) for s, y in steps], cfg.lambdas)
 
@@ -580,7 +606,8 @@ def integrate_pfaffian(
     y = _initial_state(state0)
     for start, stop in path.segments():
         _check_step_budget(math.hypot(stop.t1 - start.t1, stop.t2 - start.t2), cfg.max_step)
-    _, _, segment, diag = _compiled(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
+    segment = _flows(deformed, float(cfg.alpha))[2]
+    diag = _diagnostics(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
 
     s_offset = 0.0
     raw: list[tuple[float, float, float, State4]] = [(0.0, *_initial_time(t0), y)]

@@ -8,10 +8,11 @@ run.  Each polynomial becomes one expression
 
 with its terms in the canonical `sorted_terms()` order and every term a
 left-to-right chain of multiplications and divisions, one per unit of
-exponent, variables in `VarId` order.  The results are therefore fixed bit
-for bit by the polynomials alone: the same term-table arithmetic that an
-interpreter of (coefficient, exponents) rows performs, without the
-interpreter.
+exponent, variables in `VarId` order.  A factor 1.0 is left out of every
+chain (`x1*p2`, not `1.0*x1*p2`), since a product with 1.0 is exact.  The
+results are therefore fixed bit for bit by the polynomials alone: the same
+term-table arithmetic that an interpreter of (coefficient, exponents) rows
+performs, without the interpreter.
 
 The singular set is part of the generated code.  For every variable at a
 negative power in any polynomial of the table, the function starts with
@@ -30,15 +31,20 @@ Two kinds of generated function feed the steppers and the trajectory rows:
   their guards written out inside it.  A stepper stage is one call, with no
   constant arguments passed and no field called through a wrapper.
 - `compile_diagnostics` emits h1 and h2 once and det L once per
-  spectral-parameter sample, each under its own parameter name, in one
-  function that returns a whole diagnostics row.  The lambda-free prefix
-  `c*x1*p2*p2` of each det L term is computed once per row and shared by
-  the samples; lambda comes last in `VarId` order, so every chain keeps its
-  order of operations.
+  spectral-parameter sample in one function that returns a whole
+  diagnostics row.  The samples are float literals in its source.  The
+  lambda-free prefix `c*x1*p2*p2` of each det L term is computed once per
+  row and shared by the samples; lambda comes last in `VarId` order, so
+  every chain keeps its order of operations, and the bytecode compiler
+  folds a term in lambda alone (`2.0*0.5*0.5*0.5*0.5*0.5`) into its value.
+  det L is real, so each eigenvalue +-sqrt(-det L) is real or imaginary:
+  its two cells come from `math.sqrt`, and only a det L within 1e-300 of
+  zero goes through `cmath.sqrt`, which gives the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 from .algebra import LaurentPoly, VarId
@@ -68,12 +74,23 @@ class NonFiniteState(RuntimeError):
 
 
 def _chain(mono: Sequence[int], names: Sequence[str]) -> str:
-    """`*x1*p2*p2`: one multiplication or division per unit of exponent."""
+    """`*x1*p2*p2`: one multiplication or division per unit of exponent.
+    A lambda sample 1.0 is left out, since a product or quotient by 1.0 is
+    exact."""
     parts = []
     for name, exp in zip(names, mono):
+        if name == "1.0":
+            continue
         op = "*" if exp > 0 else "/"
         parts.extend(f"{op}{name}" for _ in range(abs(exp)))
     return "".join(parts)
+
+
+def _term(factor: str, chain: str) -> str:
+    """`c*x1*p2`, and `x1*p2` for the factor `1.0`: a product with 1.0 is exact."""
+    if factor == "1.0" and chain.startswith("*"):
+        return chain[1:]
+    return factor + chain
 
 
 def _sum_source(target: str, terms: Sequence[str]) -> list[str]:
@@ -85,11 +102,13 @@ def _sum_source(target: str, terms: Sequence[str]) -> list[str]:
 
 
 def _poly_source(target: str, poly: LaurentPoly, names: Sequence[str]) -> list[str]:
-    terms = [repr(float(coeff)) + _chain(mono, names) for mono, coeff in poly.sorted_terms()]
+    terms = [_term(repr(float(coeff)), _chain(mono, names)) for mono, coeff in poly.sorted_terms()]
     return _sum_source(target, terms)
 
 
 def _guard_source(named_polys: Sequence[tuple[LaurentPoly, Sequence[str]]]) -> list[str]:
+    """One guard per variable at a negative power; `names` may hold a
+    literal value in place of a parameter name (a lambda sample)."""
     negative = {
         (i, names[i])
         for poly, names in named_polys
@@ -98,9 +117,9 @@ def _guard_source(named_polys: Sequence[tuple[LaurentPoly, Sequence[str]]]) -> l
         if exp < 0
     }
     lines = []
-    for _, name in sorted(negative):
+    for i, name in sorted(negative):
         lines.append(f"    if {-_SINGULAR_TOL!r} <= {name} <= {_SINGULAR_TOL!r}:")
-        lines.append(f"        raise SingularState(f'{name} = {{{name}!r}} is on the singular set')")
+        lines.append(f"        raise SingularState(f'{_ARGUMENTS[i]} = {{{name}!r}} is on the singular set')")
     return lines
 
 
@@ -182,22 +201,34 @@ def _det_source(det: LaurentPoly, lams: Sequence[str]) -> tuple[list[str], list[
 
     Every term is a chain `c*x1*...*lam*lam` with lam last, so the prefix
     `q = c*x1*...` is computed once and each `d_j` term is `q*lam_j*...`:
-    the same multiplications in the same order as the whole chain.
+    the same multiplications in the same order as the whole chain.  The
+    samples are float literals, so a term free of x and t, such as
+    `2.0*0.5*0.5*0.5*0.5*0.5`, is folded by the bytecode compiler into the
+    float it evaluates to.
     """
     prefixes: dict[str, str] = {}
     lam_index = VarId.LAMBDA
     terms = []
     for mono, coeff in det.sorted_terms():
-        prefix = repr(float(coeff)) + _chain(mono[:lam_index], _ARGUMENTS)
+        prefix = _term(repr(float(coeff)), _chain(mono[:lam_index], _ARGUMENTS))
         if any(mono[:lam_index]):  # a bare coefficient stays a literal
             prefix = prefixes.setdefault(prefix, f"q{len(prefixes)}")
         terms.append((prefix, mono[lam_index]))
     shared = [f"    {name} = {source}" for source, name in prefixes.items()]
     per_lambda = [
-        _sum_source(f"d{j}", [prefix + _chain((exp,), (lam,)) for prefix, exp in terms])
+        _sum_source(f"d{j}", [_term(prefix, _chain((exp,), (lam,))) for prefix, exp in terms])
         for j, lam in enumerate(lams)
     ]
     return shared, per_lambda
+
+
+# A det L this far from zero has the square root of its negation computed
+# in real arithmetic.  CPython's cmath.sqrt(complex(x)) with |x| >= 8*DBL_MIN
+# computes 2*sqrt(|x|/8 + hypot(|x|/8, 0.0)): every step but the square root
+# is exact, so it is the correctly rounded math.sqrt(|x|), with +0.0 as the
+# other part.  The bound is far above 8*DBL_MIN (about 1.8e-307); zeros and
+# subnormals keep cmath.sqrt.
+_REAL_SQRT_MIN = 1e-300
 
 
 def compile_diagnostics(
@@ -208,13 +239,19 @@ def compile_diagnostics(
     sqrt(-det L(lambdas[j]))`, for polynomials with alpha folded in.  The
     singular set of all three raises SingularState, and an h1, h2 or
     det L(lambda_j) that is not finite raises NonFiniteState.
+
+    The finite lambda samples are written into the function as literals.
+    det L is real, so each eigenvalue cell pair is `(sqrt(-d), 0.0)` or
+    `(0.0, sqrt(d))`, computed with `math.sqrt` unless |d| <= 1e-300.
     """
-    lams = [f"lam{j}" for j in range(len(lambdas))]
+    if not all(map(math.isfinite, lambdas)):
+        raise ValueError(f"lambda samples must be finite, got {tuple(lambdas)!r}")
+    lams = [repr(float(lam)) for lam in lambdas]
     det_names = [_ARGUMENTS[:6] + (lam,) for lam in lams]
     # The generated module imports cmath itself, so that processes that
     # never build diagnostics (the exact checks) do not load it.
-    lines = ["from cmath import sqrt", "from math import isfinite"]
-    lines.append(f"def diag(s, t1, t2, y{''.join(', ' + lam for lam in lams)}):")
+    lines = ["from cmath import sqrt as csqrt", "from math import isfinite, sqrt"]
+    lines.append("def diag(s, t1, t2, y):")
     lines.append("    x1, x2, p1, p2 = y")
     lines += _guard_source([(h1, _ARGUMENTS), (h2, _ARGUMENTS)] + [(det, names) for names in det_names])
     lines += _poly_source("h1", h1, _ARGUMENTS) + _poly_source("h2", h2, _ARGUMENTS)
@@ -226,15 +263,22 @@ def compile_diagnostics(
     if lams:
         shared, per_lambda = _det_source(det, lams)
         lines += shared
-        for j, det_lines in enumerate(per_lambda):
-            message = f"det L({{lam{j}!r}}) = {{d{j}!r}} is not finite at state {{y!r}}"
+        for j, (lam, det_lines) in enumerate(zip(lams, per_lambda)):
             lines += det_lines + [
                 f"    if not isfinite(d{j}):",
-                f"        raise NonFiniteState(f'{message}')",
-                f"    e{j} = sqrt(complex(-d{j}))",
+                f"        raise NonFiniteState(f'det L({lam}) = {{d{j}!r}} is not finite at state {{y!r}}')",
+                f"    if d{j} < {-_REAL_SQRT_MIN!r}:",
+                f"        re{j} = sqrt(-d{j})",
+                f"        im{j} = 0.0",
+                f"    elif d{j} > {_REAL_SQRT_MIN!r}:",
+                f"        re{j} = 0.0",
+                f"        im{j} = sqrt(d{j})",
+                "    else:",
+                f"        e{j} = csqrt(complex(-d{j}))",
+                f"        re{j} = e{j}.real",
+                f"        im{j} = e{j}.imag",
             ]
-            row += f", e{j}.real, e{j}.imag"
+            row += f", re{j}, im{j}"
     lines.append(f"    return [{row}]")
     (diag,) = _compile(lines, "diag")
-    diag.__defaults__ = tuple(lambdas)
     return diag

@@ -109,7 +109,7 @@ def recursion_matrix() -> PolyMatrix2:
     """Step matrix of the separable-potential hierarchy.
 
     Built once: every call returns the same shared matrix, as `lax_matrices`
-    shares its triple, so callers must not reassign its entries.
+    shares its triple; `PolyMatrix2` entries are read-only.
     """
     return PolyMatrix2(x1, 1, _QUARTER * x2**2, 0)
 

@@ -5,7 +5,9 @@ The package evaluates polynomials only through the generated kernels of
 instead of multiply chains, `math.fsum` instead of a left-to-right sum), so
 the tests can compare the kernels against it.  `reference_diagnostics` computes a
 diagnostics row the way it was computed before one generated function
-produced it, so the tests can compare that function bit for bit.  `reference_fields`,
+produced it, so the tests can compare that function bit for bit, and
+`reference_summary` computes the drift summary row by row, each eigenvalue
+a `complex`, as it was computed before it read the rows by column.  `reference_fields`,
 `reference_autonomous_rhs` and `reference_segment_rhs` compute the stepper
 right-hand sides the way they were computed before they were generated as
 whole functions, with each field a separate kernel called with constant
@@ -67,6 +69,27 @@ def reference_diagnostics(h1, h2, det, lambdas):
         return values
 
     return row
+
+
+def reference_summary(rows):
+    """The drift summary of trajectory rows [s, t1, t2, x1, x2, p1, p2, h1,
+    h2, re_0, im_0, ...]: the largest abs(value - first value) of h1 and h2,
+    and of complex(re_j, im_j) over every row and lambda."""
+    first = rows[0]
+
+    def column_drift(column):
+        return max(abs(row[column] - first[column]) for row in rows)
+
+    references = [(j, complex(first[j], first[j + 1])) for j in range(9, len(first), 2)]
+    return {
+        "samples": len(rows),
+        "h1_drift": column_drift(7),
+        "h2_drift": column_drift(8),
+        "eigenvalue_drift": max(
+            (abs(complex(row[j], row[j + 1]) - ref) for row in rows for j, ref in references),
+            default=0.0,
+        ),
+    }
 
 
 def reference_fields(deformed, alpha):

@@ -1,5 +1,8 @@
 """Exact-arithmetic layer: explicit cases with independently computed values."""
 
+import copy
+import pickle
+
 import pytest
 
 from hhlax.algebra import (
@@ -122,6 +125,11 @@ class TestMatrixOps:
         m = PolyMatrix2(x1, 1, QUARTER * x2**2, 0)
         out = m.apply((LaurentPoly.zero(), LaurentPoly.one()))
         assert out == (LaurentPoly.one(), LaurentPoly.zero())
+
+    def test_read_only_matrix_copies_and_pickles(self):
+        m = PolyMatrix2(x1, 1, QUARTER * x2**2, lam**-1)
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and twin.entries() == m.entries()
 
 
 class TestNumericSubstitution:

@@ -1,6 +1,6 @@
 """Every committed benchmark record says what it measured, against what, on
-which machine, and with which commands: a number with no command does not
-count."""
+which machine, and with which commands, for every workload of the
+benchmark: a number with no command does not count."""
 
 import json
 from pathlib import Path
@@ -10,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 REQUIRED = ("topic", "parent", "method", "commands", "machine")
+WORKLOADS = [workload["name"] for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def test_bench_files_exist():
@@ -22,3 +23,7 @@ def test_bench_file_is_complete(path):
     assert isinstance(record, dict)
     for key in REQUIRED:
         assert record.get(key), f"{path.name}: '{key}' is missing or empty"
+    # Every record covers each workload of the benchmark, the one a change
+    # bypasses included.
+    for workload in WORKLOADS:
+        assert record.get("workloads", {}).get(workload), f"{path.name}: workload '{workload}' is missing"

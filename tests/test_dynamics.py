@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hhlax import dynamics
 from hhlax.algebra import VarId
@@ -18,6 +19,7 @@ from hhlax.dynamics import (
     SingularState,
     StepSizeUnderflow,
     TimePoint,
+    Trajectory,
     TrajectorySample,
     check_flow_commutation_numeric,
     check_reparametrization_numeric,
@@ -28,7 +30,7 @@ from hhlax.dynamics import (
     snapshot,
 )
 from hhlax.model import hamiltonian_vector_field, hamiltonians, lax_matrices
-from numeric_reference import reference_diagnostics, substitute_numeric
+from numeric_reference import reference_diagnostics, reference_summary, substitute_numeric
 
 REFERENCE = PhaseState(1.0, 1.0, 0.0, 0.0)
 ORIGIN = TimePoint(0.0, 0.0)
@@ -447,9 +449,26 @@ def test_non_finite_input_is_a_value_error(entry, bad, monkeypatch):
     def no_model(*args, **kwargs):
         raise AssertionError("model compiled")
 
-    monkeypatch.setattr(dynamics, "_compiled", no_model)
+    monkeypatch.setattr(dynamics, "_flows", no_model)
+    monkeypatch.setattr(dynamics, "_diagnostics", no_model)
     with pytest.raises(ValueError, match="must be finite"):
         ENTRY_POINTS[entry](bad)
+
+
+def test_each_entry_point_compiles_only_what_it_calls():
+    # A snapshot (so eigenvalue_samples) builds no stepper right-hand side,
+    # flow_rhs builds no diagnostics row, and an integration builds both.
+    flows, diagnostics = dynamics._flows.cache_info, dynamics._diagnostics.cache_info
+    alpha = 0.0123456789
+    before = flows().misses, diagnostics().misses
+    snapshot(True, REFERENCE, ORIGIN, IntegratorConfig(alpha=alpha))
+    eigenvalue_samples(True, REFERENCE, ORIGIN, alpha, (0.25,))
+    assert (flows().misses, diagnostics().misses) == (before[0], before[1] + 2)
+    flow_rhs(True, 1, REFERENCE, ORIGIN, alpha)
+    flow_rhs(True, 2, REFERENCE, ORIGIN, alpha)
+    assert (flows().misses, diagnostics().misses) == (before[0] + 1, before[1] + 2)
+    integrate_pfaffian(REFERENCE, ORIGIN, Path.from_pairs([(0, 0), (0.01, 0)]), IntegratorConfig(alpha=alpha))
+    assert (flows().misses, diagnostics().misses) == (before[0] + 1, before[1] + 2)
 
 
 def test_distinct_alphas_leave_peak_memory_flat(child_peak_rss_kb):
@@ -462,3 +481,68 @@ def test_distinct_alphas_leave_peak_memory_flat(child_peak_rss_kb):
         "    snapshot(True, state, t, IntegratorConfig(alpha=0.001 * (i + 1)))"
     )
     assert child_peak_rss_kb(code) < 20 * 1024  # kB
+
+
+# -- the drift summary -----------------------------------------------------
+
+_cells = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _trajectory_rows(draw):
+    """Rows whose eigenvalue columns are real (the imaginary column +-0.0),
+    imaginary, sign-changing (real in some rows, imaginary in others), of
+    constant imaginary part, or arbitrary."""
+    n_rows = draw(st.integers(min_value=1, max_value=12))
+    column = st.lists(_cells, min_size=n_rows, max_size=n_rows)
+    zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=n_rows, max_size=n_rows)
+    columns = [draw(column) for _ in range(9)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["real", "imaginary", "sign-changing", "constant", "any"]))
+        values, signed_zeros = draw(column), draw(zeros)
+        if kind == "real":
+            pair = (values, signed_zeros)
+        elif kind == "imaginary":
+            pair = (signed_zeros, values)
+        elif kind == "sign-changing":
+            real = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+            pair = (
+                [v if r else z for v, z, r in zip(values, signed_zeros, real)],
+                [z if r else v for v, z, r in zip(values, signed_zeros, real)],
+            )
+        elif kind == "constant":
+            pair = (values, [draw(_cells)] * n_rows)
+        else:
+            pair = (values, draw(column))
+        columns += pair
+    return [list(row) for row in zip(*columns)]
+
+
+def _outcome(compute) -> dict | str:
+    """The summary with its floats as float.hex, or the error it raises: abs()
+    of a complex raises OverflowError when the modulus of two finite parts
+    overflows (never for trajectory rows, whose eigenvalue cells are square
+    roots of finite floats)."""
+    try:
+        return {key: value.hex() if isinstance(value, float) else value for key, value in compute().items()}
+    except OverflowError as exc:
+        return repr(exc)
+
+
+@given(_trajectory_rows())
+@example([[0.0] * 9])  # a single row and no lambdas
+@example([[0.0] * 7 + [1.0, -0.0, 2.0, -0.0, -0.0, 0.0]])
+@example([[0.0] * 7 + [1.0, 2.0, 3.0, 0.0], [1.0] * 7 + [-1.0, 5.0, -0.0, 4.0]])
+@example([[0.0] * 9 + [0.0, 1.7976931348623157e308], [0.0] * 9 + [1.8941775056029057e300, 0.0]])
+def test_summary_matches_the_row_by_row_formulas_bit_for_bit(rows):
+    trajectory = Trajectory(rows, tuple(range((len(rows[0]) - 9) // 2)))
+    expected = _outcome(lambda: reference_summary(rows))
+    assert _outcome(trajectory.summary) == expected
+    assert _outcome(
+        lambda: {
+            "samples": len(rows),
+            "h1_drift": trajectory.h1_drift(),
+            "h2_drift": trajectory.h2_drift(),
+            "eigenvalue_drift": trajectory.eigenvalue_drift(),
+        }
+    ) == expected

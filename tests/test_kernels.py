@@ -2,13 +2,17 @@
 agreement with exact substitution, the generated singular-set guard, the
 generated stepper right-hand sides and the generated diagnostics row."""
 
+import cmath
 import gc
+import math
 import random
+import sys
 import weakref
 from fractions import Fraction
 
 import pytest
 
+from hhlax import kernels
 from hhlax.algebra import LaurentPoly, Rational, VarId
 from hhlax.kernels import CompiledPolySet, NonFiniteState, SingularState, compile_diagnostics, compile_flows
 from hhlax.model import hamiltonian_vector_field, hamiltonians, lax_matrices
@@ -21,6 +25,7 @@ from numeric_reference import (
 )
 
 rng = random.Random(20240817)
+x1, x2, p1, p2, t1, t2, lam, alpha = LaurentPoly.gens()
 
 
 def interpret(polys, vals):
@@ -270,6 +275,57 @@ def test_diagnostics_not_finite(lambdas, y, message):
     diag = compile_diagnostics(*_diagnostics_polys(False, 0.0), lambdas)
     with pytest.raises(NonFiniteState, match=message):
         diag(0.0, 0.0, 0.0, y)
+
+
+DBL_MIN = sys.float_info.min
+EIGENVALUE_CELL_DETS = [
+    0.0,
+    5e-324,
+    1e-310,
+    DBL_MIN,
+    math.nextafter(8 * DBL_MIN, 0.0),
+    8 * DBL_MIN,
+    math.nextafter(8 * DBL_MIN, math.inf),
+    math.nextafter(1e-300, 0.0),
+    1e-300,
+    math.nextafter(1e-300, math.inf),
+    1.0,
+    1e300,
+]
+
+
+@pytest.mark.parametrize("d", [sign * d for d in EIGENVALUE_CELL_DETS for sign in (1.0, -1.0)], ids=repr)
+def test_eigenvalue_cells_match_cmath_sqrt_bit_for_bit(d):
+    # The cells of -d come from math.sqrt away from zero and from cmath.sqrt
+    # on zeros and subnormals; both must give cmath.sqrt(complex(-d)).  The
+    # leading 0.0 + of the det sum turns a -0.0 det into 0.0, whose cells
+    # are the same.
+    lambdas = (-1.5, 0.0, 0.5)
+    zero = LaurentPoly.zero()
+    diag = compile_diagnostics(zero, zero, LaurentPoly.constant(Fraction(d)), lambdas)
+    root = cmath.sqrt(complex(-d))
+    row = diag(0.0, 0.0, 0.0, (1.0, 1.0, 0.0, 0.0))
+    assert _bits(row[9:]) == _bits([root.real, root.imag] * len(lambdas))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_diagnostics_refuse_a_non_finite_lambda(bad):
+    # The samples become literals of the generated source.
+    with pytest.raises(ValueError, match="lambda samples must be finite"):
+        compile_diagnostics(*_diagnostics_polys(False, 0.0), (0.5, bad))
+
+
+def test_generated_chains_drop_a_factor_of_one():
+    # 1.0*x and x*1.0 are x exactly, so no chain starts with 1.0* and a
+    # lambda sample 1.0 adds no factor; a bare 1.0 and a 1.0/x chain stay.
+    source = kernels._poly_source("r", x1 * p2 + 1 + x2**-1 - 2 * x1, kernels._ARGUMENTS)
+    assert source == ["    r = 0.0 + 1.0/x2 + 1.0 + -2.0*x1 + x1*p2"]
+    shared, per_lambda = kernels._det_source(x1 * lam**2 - 2 * x1 * lam + lam**3 + 1, ["1.0", "0.5"])
+    assert shared == ["    q0 = -2.0*x1", "    q1 = x1"]
+    assert per_lambda == [
+        ["    d0 = 0.0 + 1.0 + q0 + q1 + 1.0"],
+        ["    d1 = 0.0 + 1.0 + q0*0.5 + q1*0.5*0.5 + 0.5*0.5*0.5"],
+    ]
 
 
 def test_dropped_kernels_are_freed_without_a_cyclic_collection():

@@ -19,6 +19,7 @@ from hhlax.model import (
     recursion_matrix,
     recursion_matrix_inverse,
 )
+from hhlax.verify import run_checks
 
 x1, x2, p1, p2, t1, t2, lam, alpha = LaurentPoly.gens()
 HALF = Rational(1, 2)
@@ -109,6 +110,22 @@ class TestPotentialRecursion:
         assert recursion_matrix_inverse() is recursion_matrix_inverse()
         assert str(recursion_matrix()) == "[[x1, 1], [1/4*x2^2, 0]]"
         assert str(recursion_matrix_inverse()) == "[[0, 4*x2^-2], [1, -4*x1*x2^-2]]"
+
+
+def test_shared_matrices_are_read_only():
+    # lax_matrices and the recursion matrices are shared by every caller, so
+    # an assignment to one entry would change every later check and rung.
+    before = (run_checks(), potential(70))
+    shared = [recursion_matrix(), recursion_matrix_inverse()]
+    shared += [getattr(lax_matrices(deformed), name) for deformed in (False, True) for name in ("L", "U1", "U2")]
+    for matrix in shared:
+        entries = matrix.entries()
+        with pytest.raises(AttributeError, match="read-only"):
+            matrix.e11 = matrix.e11 + 1
+        with pytest.raises(AttributeError, match="read-only"):
+            del matrix.e22
+        assert matrix.entries() == entries
+    assert (run_checks(), potential(70)) == before
 
 
 class TestHamiltonians:
