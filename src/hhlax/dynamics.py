@@ -222,6 +222,13 @@ def _eigenvalue_drift(columns: list[tuple[float, ...]]) -> float:
     return drift
 
 
+def _lambda_label(lam: float) -> str:
+    """`lam` to 6 significant digits when that reads back as `lam`, else its
+    round-trip repr, so that distinct lambdas never share a column name."""
+    text = f"{lam:g}"
+    return text if float(text) == lam else repr(float(lam))
+
+
 class _Samples(Sequence[TrajectorySample]):
     """A trajectory's rows as TrajectorySample objects, each built when read."""
 
@@ -248,28 +255,10 @@ class Trajectory:
     def samples(self) -> Sequence[TrajectorySample]:
         return _Samples(self._rows)
 
-    @property
-    def final_state(self) -> PhaseState:
-        return PhaseState(*self._rows[-1][3:7])
-
-    @property
-    def final_time(self) -> TimePoint:
-        return TimePoint(*self._rows[-1][1:3])
-
-    def _columns(self) -> list[tuple[float, ...]]:
-        return list(zip(*self._rows))
-
-    def h1_drift(self) -> float:
-        return _drift(self._columns()[_H1])
-
-    def h2_drift(self) -> float:
-        return _drift(self._columns()[_H2])
-
-    def eigenvalue_drift(self) -> float:
-        return _eigenvalue_drift(self._columns()[_EIG:])
-
     def summary(self) -> dict:
-        columns = self._columns()
+        """The sample count and the largest drift of h1, h2 and the
+        eigenvalues from their first values."""
+        columns = list(zip(*self._rows))
         return {
             "samples": len(self._rows),
             "h1_drift": _drift(columns[_H1]),
@@ -282,8 +271,8 @@ class Trajectory:
     def column_names(self) -> list[str]:
         names = ["s", "t1", "t2", "x1", "x2", "p1", "p2", "h1", "h2"]
         for lam in self.lambdas:
-            names.append(f"eig_re_{lam:g}")
-            names.append(f"eig_im_{lam:g}")
+            label = _lambda_label(lam)
+            names += [f"eig_re_{label}", f"eig_im_{label}"]
         return names
 
     def rows(self) -> Sequence[list[float]]:
@@ -298,19 +287,12 @@ class Trajectory:
         for row in self._rows:
             writer.writerow(map(repr, row))
 
-    def to_json_dict(self) -> dict:
-        """Columns, rows (the stored lists themselves) and summary."""
-        return {
-            "columns": self.column_names(),
-            "rows": self._rows,
-            "summary": self.summary(),
-        }
-
     def write_json(self, stream) -> dict:
-        """Writes `to_json_dict()` and returns it."""
+        """Writes the columns, the rows (the stored lists themselves) and
+        the summary as one JSON object, and returns that dict."""
         import json
 
-        payload = self.to_json_dict()
+        payload = {"columns": self.column_names(), "rows": self._rows, "summary": self.summary()}
         json.dump(payload, stream, indent=1)
         stream.write("\n")
         return payload
@@ -628,10 +610,10 @@ def check_flow_commutation_numeric(
 ) -> float:
     """Max-norm distance between the two compositions of the autonomous flows."""
     cfg = cfg or IntegratorConfig()
-    first = integrate_autonomous(1, state0, s, cfg).final_state
-    one_then_two = integrate_autonomous(2, first, u, cfg).final_state
-    second = integrate_autonomous(2, state0, u, cfg).final_state
-    two_then_one = integrate_autonomous(1, second, s, cfg).final_state
+    first = integrate_autonomous(1, state0, s, cfg).samples[-1].state
+    one_then_two = integrate_autonomous(2, first, u, cfg).samples[-1].state
+    second = integrate_autonomous(2, state0, u, cfg).samples[-1].state
+    two_then_one = integrate_autonomous(1, second, s, cfg).samples[-1].state
     a, b = one_then_two, two_then_one
     return max(abs(a.x1 - b.x1), abs(a.x2 - b.x2), abs(a.p1 - b.p1), abs(a.p2 - b.p2))
 

@@ -123,6 +123,14 @@ def _guard_source(named_polys: Sequence[tuple[LaurentPoly, Sequence[str]]]) -> l
     return lines
 
 
+def _stack_source(polys: Sequence[LaurentPoly], prefix: str) -> list[str]:
+    """The guard of the stack, then `{prefix}i = ...` for polynomial i."""
+    lines = _guard_source([(poly, _ARGUMENTS) for poly in polys])
+    for i, poly in enumerate(polys):
+        lines += _poly_source(f"{prefix}{i}", poly, _ARGUMENTS)
+    return lines
+
+
 def _compile(lines: list[str], *names: str) -> tuple[Callable, ...]:
     namespace: dict = {"SingularState": SingularState, "NonFiniteState": NonFiniteState}
     exec(compile("\n".join(lines) + "\n", "<hhlax.kernels>", "exec"), namespace)
@@ -136,23 +144,15 @@ class CompiledPolySet:
     """A stack of Laurent polynomials compiled to one Python function.
 
     `evaluate(x1, x2, p1, p2, t1, t2, lam, alpha)` returns a tuple with one
-    float per polynomial; calling the set with a sequence of the eight
-    values does the same.  A variable at a negative power within 1e-12
-    of zero raises SingularState.
+    float per polynomial.  A variable at a negative power within 1e-12 of
+    zero raises SingularState.
     """
 
     def __init__(self, polys: Sequence[LaurentPoly]):
         self.n_polys = len(polys)
-        targets = [f"r{i}" for i in range(self.n_polys)]
-        lines = [f"def evaluate({', '.join(_ARGUMENTS)}):"]
-        lines.extend(_guard_source([(poly, _ARGUMENTS) for poly in polys]))
-        for target, poly in zip(targets, polys):
-            lines.extend(_poly_source(target, poly, _ARGUMENTS))
-        lines.append(f"    return ({''.join(t + ', ' for t in targets)})")
+        lines = [f"def evaluate({', '.join(_ARGUMENTS)}):", *_stack_source(polys, "r")]
+        lines.append(f"    return ({''.join(f'r{i}, ' for i in range(self.n_polys))})")
         (self.evaluate,) = _compile(lines, "evaluate")
-
-    def __call__(self, vals: Sequence[float]) -> tuple[float, ...]:
-        return self.evaluate(*vals)
 
 
 def compile_flows(
@@ -172,12 +172,7 @@ def compile_flows(
     """
     if any(p.depends_on(v) for p in (*field1, *field2) for v in (VarId.LAMBDA, VarId.ALPHA)):
         raise ValueError("a stepper field depends on x and t only; fold alpha first")
-    bodies = []
-    for polys in (field1, field2):
-        body = _guard_source([(poly, _ARGUMENTS) for poly in polys])
-        for i, poly in enumerate(polys):
-            body += _poly_source(f"f{i}", poly, _ARGUMENTS)
-        bodies.append(body)
+    bodies = [_stack_source(polys, "f") for polys in (field1, field2)]
     lines = []
     for k, body in enumerate(bodies, 1):
         lines += [f"def flow{k}(s, x1, x2, p1, p2, t1=0.0, t2=0.0):", *body, "    return (f0, f1, f2, f3)"]

@@ -137,7 +137,8 @@ def test_criterion_06_recursion_consistency():
 
 def test_criterion_07_numerical_conservation():
     trajectory, elapsed = conservation_run()
-    h1_drift, h2_drift = trajectory.h1_drift(), trajectory.h2_drift()
+    summary = trajectory.summary()
+    h1_drift, h2_drift = summary["h1_drift"], summary["h2_drift"]
     report(
         7,
         "conservation of h1, h2 over duration-2 run",
@@ -148,7 +149,7 @@ def test_criterion_07_numerical_conservation():
 
 def test_criterion_08_numerical_isospectrality():
     trajectory, _ = conservation_run()
-    drift = trajectory.eigenvalue_drift()
+    drift = trajectory.summary()["eigenvalue_drift"]
     report(
         8,
         "Lax eigenvalue drift at lambda in {0.5, 1, 2}",
@@ -169,8 +170,8 @@ def test_criterion_10_pfaffian_path_independence():
     worst = 0.0
     for alpha_value in (0.0, 0.1):
         cfg = IntegratorConfig(alpha=alpha_value)
-        end1 = astuple(integrate_pfaffian(REFERENCE, ORIGIN, first, cfg).final_state)
-        end2 = astuple(integrate_pfaffian(REFERENCE, ORIGIN, second, cfg).final_state)
+        end1 = astuple(integrate_pfaffian(REFERENCE, ORIGIN, first, cfg).samples[-1].state)
+        end2 = astuple(integrate_pfaffian(REFERENCE, ORIGIN, second, cfg).samples[-1].state)
         worst = max(worst, max(abs(u - v) for u, v in zip(end1, end2)))
     elapsed = time.perf_counter() - start
     report(

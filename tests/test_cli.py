@@ -182,6 +182,27 @@ class TestSimulateCommand:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "fmt, lambdas, labels",
+        [
+            ("csv", "1.0000001,1.0000002", ["1.0000001", "1.0000002"]),
+            ("json", "1e-7,1.00000001e-7", ["1e-07", "1.00000001e-07"]),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_close_lambdas_get_distinct_columns(self, fmt, lambdas, labels, tmp_path, capsys):
+        out_file = tmp_path / f"run.{fmt}"
+        code, _, _ = run_cli(
+            "simulate", "--flow", "t1", "--duration", "0.01", "--lambdas", lambdas,
+            "--out", str(out_file), "--format", fmt, capsys=capsys,
+        )
+        assert code == 0
+        if fmt == "csv":
+            header = out_file.read_text().splitlines()[0].split(",")
+        else:
+            header = json.loads(out_file.read_text())["columns"]
+        assert header[9:] == [f"eig_{part}_{label}" for label in labels for part in ("re", "im")]
+
     def test_deformed_flow(self, tmp_path, capsys):
         out_file = tmp_path / "deformed.csv"
         code, _, _ = run_cli(

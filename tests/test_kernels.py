@@ -71,12 +71,12 @@ def _deformed_polys(alpha) -> list[LaurentPoly]:
 
 def test_zero_polynomial():
     table = CompiledPolySet([LaurentPoly.zero()])
-    assert table(_random_vals()) == (0.0,)
+    assert table.evaluate(*_random_vals()) == (0.0,)
 
 
 def test_all_ones_point():
     table = CompiledPolySet([hamiltonians(False).h1])
-    assert table([1.0] * 8) == (3.5,)  # 1/2 + 1/2 + 1 + 1/2 + 1
+    assert table.evaluate(*[1.0] * 8) == (3.5,)  # 1/2 + 1/2 + 1 + 1/2 + 1
 
 
 @pytest.mark.parametrize(
@@ -107,7 +107,7 @@ def test_matches_exact_substitution():
     for _ in range(50):
         vals = _random_vals()
         point = {VarId(i): vals[i] for i in range(8)}
-        for poly, got in zip(polys, table(vals)):
+        for poly, got in zip(polys, table.evaluate(*vals)):
             expected = substitute_numeric(poly, point)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
