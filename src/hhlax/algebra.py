@@ -4,11 +4,10 @@ Everything here is exact and immutable.  Coefficients are arbitrary-precision
 rationals, exponents are signed integers (Laurent monomials over a fixed set
 of eight variables), and every operation returns a new value.  A polynomial
 also memoizes the derivatives taken of it, so a second `diff` by the same
-variable returns the stored object; like the cached hash, this memo is a
-cache on the immutable value, not part of it.  All structural
-identities of the library are proven on this layer, so there is deliberately
-no floating point anywhere: numbers are evaluated by the generated kernels
-of `hhlax.kernels`.
+variable returns the stored object; this memo is a cache on the immutable
+value, not part of it.  All structural identities of the library are proven
+on this layer, so there is deliberately no floating point anywhere: numbers
+are evaluated by the generated kernels of `hhlax.kernels`.
 
 A polynomial stores integer numerators over one common denominator, in
 lowest terms: the denominator is positive, every numerator is nonzero, and
@@ -152,10 +151,13 @@ class LaurentPoly:
     zero polynomial is the empty map over 1.  So equality of values is
     equality of the canonical representation.  `_bound` is an upper bound on
     every |exponent|, below 2**31, and `_diffs` maps each variable already
-    differentiated by to the derivative; neither is part of the value.
+    differentiated by to the derivative; neither is part of the value.  The
+    hash is computed from the value on each call, a zero or a constant
+    hashing like its int or Fraction, and `bool()` is `len()`, the number of
+    terms, so only the zero polynomial is false.
     """
 
-    __slots__ = ("_terms", "_den", "_bound", "_hash", "_diffs")
+    __slots__ = ("_terms", "_den", "_bound", "_diffs")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         ratios: list[tuple[int, int, int]] = []
@@ -179,7 +181,6 @@ class LaurentPoly:
         self._terms = normal._terms
         self._den = normal._den
         self._bound = bound
-        self._hash: int | None = None
         self._diffs: dict[VarId, LaurentPoly] | None = None
 
     @classmethod
@@ -190,7 +191,6 @@ class LaurentPoly:
         poly._terms = terms
         poly._den = den
         poly._bound = bound
-        poly._hash = None
         poly._diffs = None
         return poly
 
@@ -227,9 +227,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -475,14 +472,11 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            terms = self._terms
-            if not terms.keys() - {_UNIT_MONOMIAL}:
-                # Zero or a constant hashes like the equal int or Fraction.
-                self._hash = hash(Fraction(terms.get(_UNIT_MONOMIAL, 0), self._den))
-            else:
-                self._hash = hash((self._den, frozenset(terms.items())))
-        return self._hash
+        terms = self._terms
+        if not terms.keys() - {_UNIT_MONOMIAL}:
+            # Zero or a constant hashes like the equal int or Fraction.
+            return hash(Fraction(terms.get(_UNIT_MONOMIAL, 0), self._den))
+        return hash((self._den, frozenset(terms.items())))
 
     def __str__(self) -> str:
         if not self._terms:

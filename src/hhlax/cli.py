@@ -28,6 +28,7 @@ from .dynamics import (
     StepSizeUnderflow,
     TimePoint,
     Trajectory,
+    _lambda_label,
     eigenvalue_samples,
     integrate_autonomous,
     integrate_pfaffian,
@@ -214,7 +215,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     )
     for lam, (plus, minus) in zip(lambdas, samples):
         print(
-            f"  lambda = {lam:g}: {plus.real:.12g}{plus.imag:+.12g}j, "
+            f"  lambda = {_lambda_label(lam)}: {plus.real:.12g}{plus.imag:+.12g}j, "
             f"{minus.real:.12g}{minus.imag:+.12g}j"
         )
     return 0

@@ -426,13 +426,18 @@ def _integrate_dp45(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -
     # safety factor 0.9 and growth limited to [0.2, 5].  `max(a, b)` is
     # written `b if b > a else a` and `min(a, b)` as `b if b < a else a`:
     # the same result, ties and NaN included, without a builtin call.
+    # Each stage, solution and error sum starts at its first term c*a: every
+    # right-hand side returns +0.0, never -0.0 (its sums start from 0.0), and
+    # each first coefficient (_A21 ... _A61, _B1, _E1) is positive, so
+    # 0.0 + c*a == c*a, except where c*a underflows to -0.0 (a < 0 with
+    # |a| < 2.1e-321); that sign shows only in a zero sum added to a -0.0.
     isfinite, sqrt = math.isfinite, math.sqrt
     abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
     h_min = _MIN_STEP_FRACTION * max(1.0, s_end)
     s = 0.0
     y1, y2, y3, y4 = y0
     samples = [(0.0, y0)]
-    h = min(max_step, s_end)
+    h = max_step  # the clamp and is_last below make the first step
     a1, a2, a3, a4 = rhs(s, y1, y2, y3, y4)
     while s < s_end:
         h = max_step if max_step < h else h
@@ -445,56 +450,56 @@ def _integrate_dp45(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -
             raise StepSizeUnderflow(f"step {h!r} below minimum near s = {s!r}")
         b1, b2, b3, b4 = rhs(
             s + _C2 * h,
-            y1 + h * (0.0 + _A21 * a1),
-            y2 + h * (0.0 + _A21 * a2),
-            y3 + h * (0.0 + _A21 * a3),
-            y4 + h * (0.0 + _A21 * a4),
+            y1 + h * (_A21 * a1),
+            y2 + h * (_A21 * a2),
+            y3 + h * (_A21 * a3),
+            y4 + h * (_A21 * a4),
         )
         c1, c2, c3, c4 = rhs(
             s + _C3 * h,
-            y1 + h * (0.0 + _A31 * a1 + _A32 * b1),
-            y2 + h * (0.0 + _A31 * a2 + _A32 * b2),
-            y3 + h * (0.0 + _A31 * a3 + _A32 * b3),
-            y4 + h * (0.0 + _A31 * a4 + _A32 * b4),
+            y1 + h * (_A31 * a1 + _A32 * b1),
+            y2 + h * (_A31 * a2 + _A32 * b2),
+            y3 + h * (_A31 * a3 + _A32 * b3),
+            y4 + h * (_A31 * a4 + _A32 * b4),
         )
         d1, d2, d3, d4 = rhs(
             s + _C4 * h,
-            y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1),
-            y2 + h * (0.0 + _A41 * a2 + _A42 * b2 + _A43 * c2),
-            y3 + h * (0.0 + _A41 * a3 + _A42 * b3 + _A43 * c3),
-            y4 + h * (0.0 + _A41 * a4 + _A42 * b4 + _A43 * c4),
+            y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
+            y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
+            y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3),
+            y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4),
         )
         e1, e2, e3, e4 = rhs(
             s + _C5 * h,
-            y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-            y2 + h * (0.0 + _A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
-            y3 + h * (0.0 + _A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
-            y4 + h * (0.0 + _A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4),
+            y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+            y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+            y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
+            y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4),
         )
         f1, f2, f3, f4 = rhs(
             s + h,
-            y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
-            y2 + h * (0.0 + _A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
-            y3 + h * (0.0 + _A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
-            y4 + h * (0.0 + _A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4),
+            y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
+            y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
+            y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
+            y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4),
         )
-        n1 = y1 + h * (0.0 + _B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
-        n2 = y2 + h * (0.0 + _B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2)
-        n3 = y3 + h * (0.0 + _B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3)
-        n4 = y4 + h * (0.0 + _B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)
+        n1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
+        n2 = y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2)
+        n3 = y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3)
+        n4 = y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)
         g1, g2, g3, g4 = rhs(s + h, n1, n2, n3, n4)
         u1, u2, u3, u4 = abs(y1), abs(y2), abs(y3), abs(y4)
         m1, m2, m3, m4 = abs(n1), abs(n2), abs(n3), abs(n4)
-        r1 = h * (0.0 + _E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1) / (
+        r1 = h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1) / (
             abs_tol + rel_tol * (m1 if m1 > u1 else u1)
         )
-        r2 = h * (0.0 + _E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2) / (
+        r2 = h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2) / (
             abs_tol + rel_tol * (m2 if m2 > u2 else u2)
         )
-        r3 = h * (0.0 + _E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3) / (
+        r3 = h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3) / (
             abs_tol + rel_tol * (m3 if m3 > u3 else u3)
         )
-        r4 = h * (0.0 + _E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4) / (
+        r4 = h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4) / (
             abs_tol + rel_tol * (m4 if m4 > u4 else u4)
         )
         norm = sqrt((r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4) / 4)
@@ -514,6 +519,10 @@ def _integrate_dp45(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -
             # a still holds f(s, y); only shrink the step.
             factor = 0.9 * norm**-0.2
             factor = factor if factor > 0.2 else 0.2
+            # The retry would leave a sliver (as would its clamp to max_step),
+            # so is_last would stretch it back to this rejected step forever.
+            if is_last and s_end - s - h * factor < h_min:
+                raise StepSizeUnderflow(f"no step covers the last {s_end - s!r} of the span at s = {s!r}")
         h = h * factor
     return samples
 

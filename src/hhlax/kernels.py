@@ -19,7 +19,9 @@ negative power in any polynomial of the table, the function starts with
 
     if -1e-12 <= x2 <= 1e-12: raise SingularState(...)
 
-so no evaluation divides by a value within 1e-12 of zero.  Once
+so no evaluation divides by a value within 1e-12 of zero.  Every guard tests
+a variable of the function, never a literal: `compile_diagnostics` refuses a
+det L with a negative power of lambda, whose samples are literals.  Once
 alpha is folded in, the deformation's `x2^-2`/`x2^-3` terms are the only
 negative powers, and alpha = 0 removes them together with the guard.
 
@@ -106,26 +108,19 @@ def _poly_source(target: str, poly: LaurentPoly, names: Sequence[str]) -> list[s
     return _sum_source(target, terms)
 
 
-def _guard_source(named_polys: Sequence[tuple[LaurentPoly, Sequence[str]]]) -> list[str]:
-    """One guard per variable at a negative power; `names` may hold a
-    literal value in place of a parameter name (a lambda sample)."""
-    negative = {
-        (i, names[i])
-        for poly, names in named_polys
-        for mono, _ in poly.sorted_terms()
-        for i, exp in enumerate(mono)
-        if exp < 0
-    }
+def _guard_source(polys: Sequence[LaurentPoly]) -> list[str]:
+    """One guard per variable at a negative power in any of `polys`."""
+    negative = {i for poly in polys for mono, _ in poly.items() for i, exp in enumerate(mono) if exp < 0}
     lines = []
-    for i, name in sorted(negative):
+    for name in (_ARGUMENTS[i] for i in sorted(negative)):
         lines.append(f"    if {-_SINGULAR_TOL!r} <= {name} <= {_SINGULAR_TOL!r}:")
-        lines.append(f"        raise SingularState(f'{_ARGUMENTS[i]} = {{{name}!r}} is on the singular set')")
+        lines.append(f"        raise SingularState(f'{name} = {{{name}!r}} is on the singular set')")
     return lines
 
 
 def _stack_source(polys: Sequence[LaurentPoly], prefix: str) -> list[str]:
     """The guard of the stack, then `{prefix}i = ...` for polynomial i."""
-    lines = _guard_source([(poly, _ARGUMENTS) for poly in polys])
+    lines = _guard_source(polys)
     for i, poly in enumerate(polys):
         lines += _poly_source(f"{prefix}{i}", poly, _ARGUMENTS)
     return lines
@@ -235,20 +230,22 @@ def compile_diagnostics(
     singular set of all three raises SingularState, and an h1, h2 or
     det L(lambda_j) that is not finite raises NonFiniteState.
 
-    The finite lambda samples are written into the function as literals.
+    The finite lambda samples are written into the function as literals, so
+    det L must have no negative power of lambda.
     det L is real, so each eigenvalue cell pair is `(sqrt(-d), 0.0)` or
     `(0.0, sqrt(d))`, computed with `math.sqrt` unless |d| <= 1e-300.
     """
     if not all(map(math.isfinite, lambdas)):
         raise ValueError(f"lambda samples must be finite, got {tuple(lambdas)!r}")
+    if det.degree_range(VarId.LAMBDA)[0] < 0:
+        raise ValueError("det L has a negative power of lambda; the samples need a polynomial in lambda")
     lams = [repr(float(lam)) for lam in lambdas]
-    det_names = [_ARGUMENTS[:6] + (lam,) for lam in lams]
     # The generated module imports cmath itself, so that processes that
     # never build diagnostics (the exact checks) do not load it.
     lines = ["from cmath import sqrt as csqrt", "from math import isfinite, sqrt"]
     lines.append("def diag(s, t1, t2, y):")
     lines.append("    x1, x2, p1, p2 = y")
-    lines += _guard_source([(h1, _ARGUMENTS), (h2, _ARGUMENTS)] + [(det, names) for names in det_names])
+    lines += _guard_source([h1, h2, det])
     lines += _poly_source("h1", h1, _ARGUMENTS) + _poly_source("h2", h2, _ARGUMENTS)
     lines += [
         "    if not (isfinite(h1) and isfinite(h2)):",

@@ -171,23 +171,19 @@ def deformation_coefficients() -> tuple[LaurentPoly, LaurentPoly]:
 def hamiltonians(deformed: bool = False) -> HamiltonianSet:
     """The commuting extended Henon-Heiles pair, optionally deformed.
 
-    The deformation adds the k = 3 and k = 2 potentials with t-dependent
-    coefficients c3 = 3 t2 and c2 = t1 + 3 t2^2, and shifts h2 by the
-    Killing-vector term -p1.
+    One formula serves both systems, as in `lax_matrices`: the deformation
+    adds the k = 3 and k = 2 potentials with the coefficients c3 = 3 t2 and
+    c2 = t1 + 3 t2^2 and shifts h2 by the Killing-vector term -p1; for the
+    autonomous pair the coefficients and the Killing term are zero.
     """
+    c2, c3 = deformation_coefficients() if deformed else (0, 0)
+    killing = p1 if deformed else 0
     geodesic1 = _HALF * p1**2 + _HALF * p2**2
     geodesic2 = _HALF * x2 * p1 * p2 - _HALF * x1 * p2**2
-    quartic = potential(4)
-    h1 = geodesic1 + quartic.v1 + alpha / x2**2
-    h2 = geodesic2 + quartic.v2 - alpha * x1 / x2**2
-    if not deformed:
-        return HamiltonianSet(h1, h2, False)
-
-    c2, c3 = deformation_coefficients()
-    cubic, quadratic = potential(3), potential(2)
-    big_h1 = h1 + c3 * cubic.v1 + c2 * quadratic.v1
-    big_h2 = h2 - p1 + c3 * cubic.v2 + c2 * quadratic.v2
-    return HamiltonianSet(big_h1, big_h2, True)
+    quartic, cubic, quadratic = potential(4), potential(3), potential(2)
+    h1 = geodesic1 + quartic.v1 + alpha / x2**2 + c3 * cubic.v1 + c2 * quadratic.v1
+    h2 = geodesic2 + quartic.v2 - alpha * x1 / x2**2 - killing + c3 * cubic.v2 + c2 * quadratic.v2
+    return HamiltonianSet(h1, h2, deformed)
 
 
 def hamiltonian_vector_field(hamiltonian: LaurentPoly) -> VectorField4:

@@ -320,6 +320,8 @@ def test_bad_number_exits_2(argv, tmp_path, capsys, monkeypatch):
         (SIMULATE + ["--duration", "0", "--state", "1e200,1,0,0"], "not finite"),
         (["spectral", "--state", "1e200,1,0,0"], "not finite"),
         (SIMULATE + ["--lambdas", "1,1e100"], "not finite"),
+        # A rejected last step that no shrunk step can replace.
+        (SIMULATE + ["--duration", "1e-14", "--state", "1,1e100,0,0"], "no step covers the last 1e-14"),
     ],
 )
 def test_numeric_failure_exits_3(argv, message, tmp_path, capsys):
@@ -450,6 +452,15 @@ class TestSpectralCommand:
         line = [l for l in out.splitlines() if l.strip().startswith("lambda = 1")][0]
         # real eigenvalue pair +-sqrt(1.625) at this state
         assert "lambda = 1: 1.2747548784+0j, -1.2747548784-0j" in line
+
+    def test_close_lambdas_get_distinct_labels(self, capsys):
+        code, out, _ = run_cli(
+            "spectral", "--state", "1,1,0,0", "--lambdas", "1.0000001,1.0000002", capsys=capsys
+        )
+        assert code == 0
+        labels = [l.split("lambda = ")[1].split(":")[0] for l in out.splitlines() if "lambda = " in l]
+        assert len(set(labels)) == 2
+        assert [float(label) for label in labels] == [1.0000001, 1.0000002]
 
     def test_malformed_state(self, capsys):
         code, _, err = run_cli("spectral", "--state", "a,b,c,d", capsys=capsys)

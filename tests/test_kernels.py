@@ -63,6 +63,10 @@ def _bits(values) -> list[str]:
     return [value.hex() for value in values]
 
 
+def _negative_zeros(values) -> list[float]:
+    return [value for value in values if value == 0.0 and math.copysign(1.0, value) < 0]
+
+
 def _deformed_polys(alpha) -> list[LaurentPoly]:
     hams = hamiltonians(True)
     polys = [hams.h1, hams.h2, lax_matrices(True).L.det()]
@@ -142,7 +146,9 @@ def test_alpha_zero_table_has_no_guard():
 # -- the stepper right-hand sides --------------------------------------------
 
 # The negative weights turn a zero field component into -0.0, which the
-# leading 0.0 of each sum turns back into 0.0.
+# leading 0.0 of each sum turns back into 0.0.  The DP45 stepper starts its
+# sums at their first term, which is bit-for-bit the same only while no
+# right-hand side returns -0.0, so the tests below also assert that.
 SEGMENT_WEIGHTS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.6, 0.8), (0.0, -1.0), (-0.6, -0.8)]
 
 
@@ -170,7 +176,9 @@ def test_autonomous_rhs_matches_the_field_kernel_bit_for_bit(k, alpha):
     flow = _flows(False, alpha)[k - 1]
     reference = reference_autonomous_rhs(reference_fields(False, alpha)[k - 1])
     for point in _rhs_points(alpha):
-        assert _bits(flow(*point)) == _bits(reference(*point))
+        rates = flow(*point)
+        assert _bits(rates) == _bits(reference(*point))
+        assert not _negative_zeros(rates)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.05])
@@ -180,7 +188,9 @@ def test_flow_at_a_time_matches_the_field_kernel_bit_for_bit(k, alpha):
     field = reference_fields(True, alpha)[k - 1]
     for s, *y in _rhs_points(alpha):
         t1, t2 = rng.choice([rng.uniform(-1.0, 1.0), 0.0, -0.0]), rng.choice([rng.uniform(-1.0, 1.0), -0.0])
-        assert _bits(flow(s, *y, t1, t2)) == _bits(field(*y, t1, t2, 1.0, 0.0))
+        rates = flow(s, *y, t1, t2)
+        assert _bits(rates) == _bits(field(*y, t1, t2, 1.0, 0.0))
+        assert not _negative_zeros(rates)
 
 
 @pytest.mark.parametrize("w1, w2", SEGMENT_WEIGHTS)
@@ -193,7 +203,9 @@ def test_segment_rhs_matches_the_field_kernels_bit_for_bit(deformed, alpha, w1, 
         rhs = segment(*start, w1, w2)
         reference = reference_segment_rhs(*fields, *start, w1, w2)
         for point in _rhs_points(alpha):
-            assert _bits(rhs(*point)) == _bits(reference(*point))
+            rates = rhs(*point)
+            assert _bits(rates) == _bits(reference(*point))
+            assert not _negative_zeros(rates)
 
 
 @pytest.mark.parametrize("deformed", [False, True])
@@ -310,9 +322,13 @@ def test_eigenvalue_cells_match_cmath_sqrt_bit_for_bit(d):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_diagnostics_refuse_a_non_finite_lambda(bad):
-    # The samples become literals of the generated source.
+    # The samples become literals of the generated source, so a det L with a
+    # negative power of lambda, whose guard would test a literal, is refused.
+    h1, h2, det = _diagnostics_polys(False, 0.0)
     with pytest.raises(ValueError, match="lambda samples must be finite"):
-        compile_diagnostics(*_diagnostics_polys(False, 0.0), (0.5, bad))
+        compile_diagnostics(h1, h2, det, (0.5, bad))
+    with pytest.raises(ValueError, match="negative power of lambda"):
+        compile_diagnostics(h1, h2, det + lam**-1, (0.5,))
 
 
 def test_generated_chains_drop_a_factor_of_one():
