@@ -15,7 +15,11 @@ the gcd of the denominator and all numerators is 1.  Every ring operation
 works on these integers alone and normalises its result once, with one gcd
 over the whole polynomial.  `Fraction` appears only at the boundary:
 coefficients go in as ints or Fractions and come out of `items()` and
-`sorted_terms()` as Fractions.
+`sorted_terms()` as Fractions.  A sum copies the operand whose numerators
+need no rescaling to the common denominator and merges the other into it.
+A matrix row `a*u + b*v` whose coefficients a and b are single terms, as in
+the recursion steps of the potential hierarchy, is built in one pass: u
+shifted and scaled, v merged in, one normalisation.
 
 Each monomial is stored as one int, `sum(e_i << (32 * i))` over its eight
 exponents read as signed 32-bit digits, so a monomial product is one int
@@ -130,11 +134,9 @@ def _unpack(key: int) -> Monomial:
     return tuple(((biased >> shift) & _MASK) - _LIMIT for shift in _SHIFTS)
 
 
-def _checked(bound: int) -> int:
-    """`bound` as the |exponent| bound of a new polynomial, if it is in range."""
-    if bound >= _LIMIT:
-        raise OverflowError(f"an exponent could reach {bound}, outside the range |e| < 2**31")
-    return bound
+def _overflow(bound: int) -> OverflowError:
+    """The error for a new polynomial whose |exponents| could reach `bound` >= 2**31."""
+    return OverflowError(f"an exponent could reach {bound}, outside the range |e| < 2**31")
 
 
 def _monomial_key(mono: Monomial) -> tuple:
@@ -183,22 +185,11 @@ class LaurentPoly:
         self._bound = bound
         self._diffs: dict[VarId, LaurentPoly] | None = None
 
-    @classmethod
-    def _raw(cls, terms: dict[int, int], den: int, bound: int) -> "LaurentPoly":
-        # Internal fast path: `terms` over `den` must already be canonical,
-        # with every |exponent| at most `bound` < 2**31.
-        poly = object.__new__(cls)
-        poly._terms = terms
-        poly._den = den
-        poly._bound = bound
-        poly._diffs = None
-        return poly
-
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._raw({}, 1, 0)
+        return _raw({}, 1, 0)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -207,11 +198,11 @@ class LaurentPoly:
     @classmethod
     def constant(cls, value: Scalar) -> "LaurentPoly":
         num, den = _ratio(value)
-        return cls._raw({_UNIT_MONOMIAL: num}, den, 0) if num else cls._raw({}, 1, 0)
+        return _raw({_UNIT_MONOMIAL: num}, den, 0) if num else _raw({}, 1, 0)
 
     @classmethod
     def variable(cls, var: VarId) -> "LaurentPoly":
-        return cls._raw({1 << _SHIFTS[var]: 1}, 1, 1)
+        return _raw({1 << _SHIFTS[var]: 1}, 1, 1)
 
     @classmethod
     def term(cls, mono: Monomial, coeff: Scalar) -> "LaurentPoly":
@@ -267,22 +258,24 @@ class LaurentPoly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
-        other = as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            other = as_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(
+        return _raw(
             {mono: -num for mono, num in self._terms.items()}, self._den, self._bound
         )
 
     def __sub__(self, other) -> "LaurentPoly":
-        other = as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            other = as_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._combine(other, -1)
 
     def __rsub__(self, other) -> "LaurentPoly":
@@ -293,10 +286,12 @@ class LaurentPoly:
 
     def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         # self + sign * other, for sign 1 or -1, over the LCM of the two
-        # denominators.
-        if not other._terms:
+        # denominators.  The operand that needs no rescaling is copied and
+        # the other merged into it: a sum is the same value either way.
+        first, second = self._terms, other._terms
+        if not second:
             return self
-        if not self._terms:
+        if not first:
             return other if sign == 1 else -other
         den_a, den_b = self._den, other._den
         if den_a == den_b:
@@ -304,12 +299,15 @@ class LaurentPoly:
         else:
             den = math.lcm(den_a, den_b)
             scale_a, scale_b = den // den_a, sign * (den // den_b)
+            if scale_b == 1:
+                first, second, scale_b = second, first, scale_a
+                scale_a = 1
         if scale_a == 1:
-            terms = dict(self._terms)
+            terms = dict(first)
         else:
-            terms = {mono: num * scale_a for mono, num in self._terms.items()}
+            terms = {mono: num * scale_a for mono, num in first.items()}
         get = terms.get
-        for mono, num in other._terms.items():
+        for mono, num in second.items():
             total = get(mono, 0) + num * scale_b
             if total:
                 terms[mono] = total
@@ -318,14 +316,17 @@ class LaurentPoly:
         return _normal(terms, den, max(self._bound, other._bound))
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            other = as_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self._terms:
             return self
         if not other._terms:
             return other
-        bound = _checked(self._bound + other._bound)
+        bound = self._bound + other._bound
+        if bound >= _LIMIT:
+            raise _overflow(bound)
         if len(self._terms) == 1:
             (mono, num), = self._terms.items()
             return other._shifted(mono, num, self._den, bound)
@@ -339,7 +340,10 @@ class LaurentPoly:
             for mono_b, num_b in terms_b:
                 mono = mono_a + mono_b
                 sums[mono] = get(mono, 0) + num_a * num_b
-        return _normal({mono: num for mono, num in sums.items() if num}, self._den * other._den, bound)
+        if 0 in sums.values():
+            # Only a cancelled coefficient leaves a zero to drop.
+            sums = {mono: num for mono, num in sums.items() if num}
+        return _normal(sums, self._den * other._den, bound)
 
     def _shifted(self, shift: int, num: int, den: int, bound: int) -> "LaurentPoly":
         # Product with the single term (num / den) * shift, whose |exponents|
@@ -348,7 +352,7 @@ class LaurentPoly:
         if num == 1 and den == 1:
             if shift == _UNIT_MONOMIAL:
                 return self
-            return LaurentPoly._raw(
+            return _raw(
                 {mono + shift: n for mono, n in self._terms.items()}, self._den, bound
             )
         if num == 1:
@@ -400,7 +404,7 @@ class LaurentPoly:
         den = self._den
         if num < 0:
             num, den = -num, -den
-        return LaurentPoly._raw({-mono: den}, num, self._bound)
+        return _raw({-mono: den}, num, self._bound)
 
     # -- calculus -----------------------------------------------------
 
@@ -418,7 +422,9 @@ class LaurentPoly:
             derivative = memo.get(var)
             if derivative is not None:
                 return derivative
-        bound = _checked(self._bound + 1)
+        bound = self._bound + 1
+        if bound >= _LIMIT:
+            raise _overflow(bound)
         shift = _SHIFTS[var]
         step = 1 << shift
         result: dict[int, int] = {}
@@ -506,6 +512,20 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+_new = object.__new__
+
+
+def _raw(terms: dict[int, int], den: int, bound: int) -> LaurentPoly:
+    # Internal fast path: `terms` over `den` must already be canonical, with
+    # every |exponent| at most `bound` < 2**31.
+    poly = _new(LaurentPoly)
+    poly._terms = terms
+    poly._den = den
+    poly._bound = bound
+    poly._diffs = None
+    return poly
+
+
 def _normal(terms: dict[int, int], den: int, bound: int) -> LaurentPoly:
     """The polynomial with nonzero numerators `terms` over `den` > 0, in canonical form."""
     if den != 1:
@@ -515,7 +535,7 @@ def _normal(terms: dict[int, int], den: int, bound: int) -> LaurentPoly:
         if common != 1:
             terms = {mono: num // common for mono, num in terms.items()}
             den //= common
-    return LaurentPoly._raw(terms, den, bound)
+    return _raw(terms, den, bound)
 
 
 def as_poly(value) -> LaurentPoly:
@@ -533,6 +553,34 @@ def poisson_bracket(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     for q, p in _PHASE_PAIRS:
         acc = acc + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
     return acc
+
+
+def _row(a: LaurentPoly, u: LaurentPoly, b: LaurentPoly, v: LaurentPoly) -> LaurentPoly:
+    """a*u + b*v, in one pass when a and b are single terms and u, v nonzero."""
+    if len(a._terms) != 1 or len(b._terms) != 1 or not u._terms or not v._terms:
+        return a * u + b * v
+    (shift_a, num_a), = a._terms.items()
+    (shift_b, num_b), = b._terms.items()
+    bound = max(a._bound + u._bound, b._bound + v._bound)
+    if bound >= _LIMIT:
+        raise _overflow(bound)
+    # a*u is over a._den * u._den and b*v over b._den * v._den; bring both
+    # to their lcm.  No two terms of one product collect, so only the merge
+    # can cancel.
+    den_a, den_b = a._den * u._den, b._den * v._den
+    den = den_a if den_a == den_b else math.lcm(den_a, den_b)
+    num_a *= den // den_a
+    num_b *= den // den_b
+    terms = {mono + shift_a: n * num_a for mono, n in u._terms.items()}
+    get = terms.get
+    for mono, n in v._terms.items():
+        mono += shift_b
+        total = get(mono, 0) + n * num_b
+        if total:
+            terms[mono] = total
+        else:
+            del terms[mono]
+    return _normal(terms, den, bound)
 
 
 class PolyMatrix2:
@@ -600,10 +648,17 @@ class PolyMatrix2:
     __rmul__ = __mul__
 
     def apply(self, vector: tuple) -> tuple[LaurentPoly, LaurentPoly]:
-        """Matrix-vector product on a length-2 column."""
+        """Matrix-vector product on a length-2 column.
+
+        A row `a*u + b*v` whose coefficients a and b are single terms, as
+        in every row of the recursion matrix and its inverse with two
+        nonzero entries, is computed in one pass: u shifted and scaled, v
+        merged in, one normalisation.  Any other row is the two products
+        and their sum.
+        """
         v1, v2 = vector
         v1, v2 = as_poly(v1), as_poly(v2)
-        return (self.e11 * v1 + self.e12 * v2, self.e21 * v1 + self.e22 * v2)
+        return (_row(self.e11, v1, self.e12, v2), _row(self.e21, v1, self.e22, v2))
 
     def map(self, fn) -> "PolyMatrix2":
         """Apply `fn` entrywise."""

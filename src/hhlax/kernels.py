@@ -231,12 +231,18 @@ def compile_diagnostics(
     det L(lambda_j) that is not finite raises NonFiniteState.
 
     The finite lambda samples are written into the function as literals, so
-    det L must have no negative power of lambda.
+    det L must have no negative power of lambda.  A polynomial that still
+    depends on alpha, or an h1 or h2 that depends on lambda, is refused with
+    ValueError, as `compile_flows` refuses such a field.
     det L is real, so each eigenvalue cell pair is `(sqrt(-d), 0.0)` or
     `(0.0, sqrt(d))`, computed with `math.sqrt` unless |d| <= 1e-300.
     """
     if not all(map(math.isfinite, lambdas)):
         raise ValueError(f"lambda samples must be finite, got {tuple(lambdas)!r}")
+    if any(p.depends_on(VarId.ALPHA) for p in (h1, h2, det)) or any(
+        p.depends_on(VarId.LAMBDA) for p in (h1, h2)
+    ):
+        raise ValueError("h1 and h2 depend on x and t only, det L also on lambda; fold alpha first")
     if det.degree_range(VarId.LAMBDA)[0] < 0:
         raise ValueError("det L has a negative power of lambda; the samples need a polynomial in lambda")
     lams = [repr(float(lam)) for lam in lambdas]

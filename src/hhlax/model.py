@@ -34,6 +34,7 @@ __all__ = [
 x1, x2, p1, p2, t1, t2, lam, alpha = LaurentPoly.gens()
 _HALF = Rational(1, 2)
 _QUARTER = Rational(1, 4)
+_TWO_LAM = 2 * lam
 
 # Order in which phase-space derivatives are taken throughout.
 PHASE_VARS = (VarId.X1, VarId.X2, VarId.P1, VarId.P2)
@@ -161,9 +162,10 @@ def potential(k: int) -> PotentialPair:
     return PotentialPair(v1, v2)
 
 
+@lru_cache(maxsize=None)
 def deformation_coefficients() -> tuple[LaurentPoly, LaurentPoly]:
     """(c2, c3): the unique coefficient functions compatible with the
-    Frobenius condition for this deformation ansatz."""
+    Frobenius condition for this deformation ansatz.  Built once and shared."""
     return (t1 + 3 * t2**2, 3 * t2)
 
 
@@ -230,7 +232,7 @@ def lax_matrices(deformed: bool = False) -> LaxTriple:
 
 def isomonodromy_deformation_term(u_matrix: PolyMatrix2) -> PolyMatrix2:
     """2 lambda dU/dlambda: the term the isomonodromic Lax equation adds."""
-    return u_matrix.map(lambda entry: 2 * lam * entry.diff(VarId.LAMBDA))
+    return u_matrix.map(lambda entry: _TWO_LAM * entry.diff(VarId.LAMBDA))
 
 
 def derivative_along(f: LaurentPoly, field: VectorField4) -> LaurentPoly:

@@ -12,6 +12,7 @@ inputs can be injected; the defaults are the genuine model objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .algebra import (
@@ -87,11 +88,21 @@ class IdentityReport:
 
 
 def _lax_defect(k: int, triple: LaxTriple, hams: HamiltonianSet) -> PolyMatrix2:
-    """D_{Y_k} L - [U_k, L]: the derivative of L along flow k minus the commutator."""
+    """D_{Y_k} L - [U_k, L]: the derivative of L along flow k minus the commutator.
+
+    D is linear, so for a traceless L (`e22 == -e11`, as in both model
+    triples) D(e22) is taken as -D(e11); an L with any other diagonal has
+    all four entries differentiated.
+    """
     u_matrix = triple.flow_matrix(k)  # rejects a flow index other than 1 or 2
     field = hamiltonian_vector_field(hams.h1 if k == 1 else hams.h2)
-    transported = triple.L.map(lambda entry: derivative_along(entry, field))
-    return transported - mat_commutator(u_matrix, triple.L)
+    big_l = triple.L
+    d11 = derivative_along(big_l.e11, field)
+    d22 = -d11 if big_l.e22 == -big_l.e11 else derivative_along(big_l.e22, field)
+    transported = PolyMatrix2(
+        d11, derivative_along(big_l.e12, field), derivative_along(big_l.e21, field), d22
+    )
+    return transported - mat_commutator(u_matrix, big_l)
 
 
 def check_involution(hams: HamiltonianSet | None = None) -> IdentityReport:
@@ -134,7 +145,8 @@ def check_isospectral_lax(
 
 
 # The two defect matrices the deformed system must produce, transcribed in
-# closed form: D_{t1}L - [U1, L] and D_{t2}L - [U2, L].
+# closed form: D_{t1}L - [U1, L] and D_{t2}L - [U2, L].  Built once each.
+@lru_cache(maxsize=None)
 def _expected_defect(k: int) -> PolyMatrix2:
     zero = LaurentPoly.zero()
     x1 = LaurentPoly.variable(VarId.X1)

@@ -16,6 +16,7 @@ from hhlax.algebra import (
     mat_commutator,
     poisson_bracket,
 )
+from hhlax.model import recursion_matrix, recursion_matrix_inverse
 from numeric_reference import substitute_numeric
 
 coefficients = st.builds(
@@ -231,6 +232,10 @@ def test_sum_matches_reference(f, g):
     assert dict(total.items()) == reference_sum(f, g)
     assert_normal_form(total)
     assert_normal_form(f - g)
+    # The other order copies the other operand when only one needs rescaling.
+    swapped = g + f
+    assert swapped == total
+    assert_normal_form(swapped)
 
 
 @given(factors, factors)
@@ -381,6 +386,29 @@ def test_commutator_matches_product_difference(a, b):
     # The 6-product formula against the definition AB - BA.
     assert mat_commutator(a, b) == a @ b - b @ a
     assert mat_commutator(b, a) == b @ a - a @ b
+
+
+def _assert_rows_match_products(m: PolyMatrix2, u: LaurentPoly, v: LaurentPoly) -> None:
+    rows = m.apply((u, v))
+    assert rows == (m.e11 * u + m.e12 * v, m.e21 * u + m.e22 * v)
+    for row in rows:
+        assert_normal_form(row)
+
+
+# Entries are often single terms or zero, so both the one-pass row and the
+# row of two products are taken.
+matrix_entries = st.one_of(factors, st.just(LaurentPoly.zero()))
+
+
+@given(st.builds(PolyMatrix2, matrix_entries, matrix_entries, matrix_entries, matrix_entries), factors, factors)
+def test_apply_matches_row_products(m, u, v):
+    _assert_rows_match_products(m, u, v)
+
+
+@given(factors, factors)
+def test_recursion_steps_match_row_products(u, v):
+    for step in (recursion_matrix(), recursion_matrix_inverse()):
+        _assert_rows_match_products(step, u, v)
 
 
 @given(factors, st.permutations(list(VarId)))

@@ -223,6 +223,15 @@ def test_stepper_fields_must_have_alpha_folded():
     fields = [hamiltonian_vector_field(h).components for h in (hams.h1, hams.h2)]
     with pytest.raises(ValueError, match="fold alpha first"):
         compile_flows(*fields)
+    # The diagnostics row refuses the same: h1, h2 or det L with alpha left
+    # in, and an h1 or h2 with lambda in it.
+    autonomous = hamiltonians(False)
+    with pytest.raises(ValueError, match="fold alpha first"):
+        compile_diagnostics(autonomous.h1, autonomous.h2, lax_matrices(False).L.det(), (0.5,))
+    h1, h2, det = _diagnostics_polys(False, 0.0)
+    lam = LaurentPoly.variable(VarId.LAMBDA)
+    with pytest.raises(ValueError, match="fold alpha first"):
+        compile_diagnostics(h1 + lam, h2, det, (0.5,))
 
 
 # -- the diagnostics row ---------------------------------------------------

@@ -3,8 +3,16 @@ on a corrupted one (the negative controls guard against vacuous passes)."""
 
 import pytest
 
-from hhlax.algebra import LaurentPoly, PolyMatrix2, Rational, VarId, poisson_bracket
-from hhlax.model import HamiltonianSet, LaxTriple, hamiltonians, lax_matrices, potential
+from hhlax.algebra import LaurentPoly, PolyMatrix2, Rational, VarId, mat_commutator, poisson_bracket
+from hhlax.model import (
+    HamiltonianSet,
+    LaxTriple,
+    derivative_along,
+    hamiltonian_vector_field,
+    hamiltonians,
+    lax_matrices,
+    potential,
+)
 from hhlax.verify import (
     CHECKS,
     check_frobenius,
@@ -16,6 +24,7 @@ from hhlax.verify import (
     run_checks,
     spectral_curve,
     spectral_curve_coefficients,
+    _lax_defect,
 )
 
 x1, x2, p1, p2, t1, t2, lam, alpha = LaurentPoly.gens()
@@ -117,6 +126,44 @@ class TestIsospectralLax:
     def test_rejects_bad_flow_index(self):
         with pytest.raises(ValueError):
             check_isospectral_lax(3)
+
+
+class TestLaxDefect:
+    """The defect takes D(e22) = -D(e11) for a traceless L; it must equal
+    the defect with all four entries differentiated."""
+
+    @staticmethod
+    def _reference(k, triple, hams):
+        field = hamiltonian_vector_field(hams.h1 if k == 1 else hams.h2)
+        transported = triple.L.map(lambda entry: derivative_along(entry, field))
+        return transported - mat_commutator(triple.flow_matrix(k), triple.L)
+
+    @staticmethod
+    def _with_l(triple, e11, e22):
+        big_l = PolyMatrix2(e11, triple.L.e12, triple.L.e21, e22)
+        return LaxTriple(big_l, triple.U1, triple.U2, triple.deformed)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_model_triples(self, deformed, k):
+        triple, hams = lax_matrices(deformed), hamiltonians(deformed)
+        assert _lax_defect(k, triple, hams) == self._reference(k, triple, hams)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_corrupted_e22_only(self, k):
+        triple, hams = lax_matrices(True), hamiltonians(True)
+        corrupted = self._with_l(triple, triple.L.e11, triple.L.e22 + p1 * lam)
+        defect = _lax_defect(k, corrupted, hams)
+        assert defect == self._reference(k, corrupted, hams)
+        assert defect != _lax_defect(k, triple, hams)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_shifted_diagonal_stays_traceless(self, k):
+        triple, hams = lax_matrices(True), hamiltonians(True)
+        shifted = self._with_l(triple, triple.L.e11 + x1, triple.L.e22 - x1)
+        defect = _lax_defect(k, shifted, hams)
+        assert defect == self._reference(k, shifted, hams)
+        assert defect != _lax_defect(k, triple, hams)
 
 
 class TestIsomonodromicLax:
