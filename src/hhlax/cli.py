@@ -8,8 +8,8 @@ Subcommands:
   spectral   print the spectral curve and numeric eigenvalue samples
 
 Exit codes: 0 success, 1 verification failure, 2 bad input (a `ValueError`,
-raised where the value is made), 3 numeric failure (singular state,
-step-size underflow or non-finite state).
+raised where the value is made, or an output file that cannot be written),
+3 numeric failure (singular state, step-size underflow or non-finite state).
 """
 
 from __future__ import annotations
@@ -272,9 +272,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # Bad input, from the parsers here or from the library where the
-        # value is made.
+        # value is made, or an output file that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (SingularState, StepSizeUnderflow, NonFiniteState) as exc:

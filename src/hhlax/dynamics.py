@@ -9,18 +9,18 @@ at configurable spectral-parameter samples; a trajectory keeps one row of
 floats per sample, in the column order of its CSV/JSON export.
 
 Integrators: classic fixed-step RK4 and an adaptive Dormand-Prince 5(4)
-pair, both on plain 4-float tuples with the stage sums written out and the
-step-size limits written as comparisons, not `min`/`max` calls.  Each stage
-makes one call to a generated right-hand side of `hhlax.kernels`: the
-field itself for an autonomous flow, and for a Pfaffian path segment a
-closure with both fields written out inside it.  The diagnostics row is
-generated as well.  The runtime value of alpha is folded exactly into the
-polynomials beforehand.  The right-hand sides of one (model, alpha) and the
-diagnostics row of one (model, alpha, lambdas) are compiled when first
-asked for, each kept in a cache of at most 64 entries, so a snapshot
-compiles no stepper and a sweep over alpha runs in bounded memory.  The
-generated code refuses the x2 = 0 singular set itself.  A run keeps no
-shared mutable state, so independent integrations may proceed in parallel.
+pair, generated by `hhlax.kernels` from their coefficients once per process,
+when the first integration asks for them.  Each stage makes one call to a
+generated right-hand side: the field itself for an autonomous flow, and for
+a Pfaffian path segment a closure with both fields written out inside it.
+The diagnostics row is generated as well.  The runtime value of alpha is
+folded exactly into the polynomials beforehand.  The right-hand sides of
+one (model, alpha) and the diagnostics row of one (model, alpha, lambdas)
+are compiled when first asked for, each kept in a cache of at most 64
+entries, so a snapshot compiles no stepper and a sweep over alpha runs in
+bounded memory.  The generated code refuses the x2 = 0 singular set
+itself.  A run keeps no shared mutable state, so independent integrations
+may proceed in parallel.
 
 Bad input is a `ValueError` raised where the value is made: `PhaseState`,
 `TimePoint` and `IntegratorConfig` hold finite numbers only, so the functions
@@ -35,13 +35,16 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import repeat
 from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .algebra import LaurentPoly, VarId
-from .kernels import CompiledPolySet, NonFiniteState, SingularState, compile_diagnostics, compile_flows
+from .kernels import (
+    CompiledPolySet, NonFiniteState, SingularState, StepSizeUnderflow,
+    compile_diagnostics, compile_flows, compile_steppers,
+)
 from .model import (
     hamiltonian_vector_field,
     hamiltonians,
@@ -68,18 +71,11 @@ __all__ = [
     "check_reparametrization_numeric",
 ]
 
-# A step shorter than this fraction of the span aborts the run.
-_MIN_STEP_FRACTION = 1e-14
 # The most steps one span may need: rk4-fixed takes ceil(span / max_step)
 # steps and DP45, whose steps never exceed max_step either, at least as many.
 _MAX_STEPS = 10**6
 # Step in mu of the central difference in check_reparametrization_numeric.
 _FD_STEP = 1e-6
-
-
-class StepSizeUnderflow(RuntimeError):
-    """The adaptive integrator could not meet the tolerance with any
-    representable step (typically a finite-time blow-up)."""
 
 
 # (x1, x2, p1, p2), the stepper's working form of a PhaseState.
@@ -298,7 +294,7 @@ class Trajectory:
         return payload
 
 
-# -- generated right-hand sides and diagnostics ---------------------------
+# -- generated right-hand sides, diagnostics and steppers -----------------
 
 # rhs(s, x1, x2, p1, p2) -> (dx1, dx2, dp1, dp2), the stepper's right-hand side
 Rhs = Callable[[float, float, float, float, float], State4]
@@ -366,165 +362,9 @@ def flow_rhs(
     return flow(0.0, *_initial_state(state), *_initial_time(t))
 
 
-# -- steppers ------------------------------------------------------------
-
-# Dormand-Prince 5(4) tableau.  The last row of A equals the 5th-order
-# weights B5, so the state passed to the seventh stage is the new state and
-# that stage doubles as the first stage of the next step (FSAL).  E = B5 - B4
-# weighs the embedded error estimate; B5[1], B5[6] and E[1] are zero and
-# their terms are left out of the sums.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    35 / 384 - 5179 / 57600,
-    500 / 1113 - 7571 / 16695,
-    125 / 192 - 393 / 640,
-    -2187 / 6784 - -92097 / 339200,
-    11 / 84 - 187 / 2100,
-    0.0 - 1 / 40,
-)
-
-def _non_finite(s: float, y: State4) -> NonFiniteState:
-    return NonFiniteState(f"state {y!r} is not finite at s = {s!r}")
-
-
-def _integrate_rk4(rhs: Rhs, s_end: float, y0: State4, max_step: float) -> list[tuple[float, State4]]:
-    isfinite = math.isfinite
-    n_steps = max(1, math.ceil(s_end / max_step))
-    h = s_end / n_steps
-    h2, h6 = h / 2, h / 6
-    s = 0.0
-    y1, y2, y3, y4 = y0
-    samples = [(0.0, y0)]
-    for i in range(n_steps):
-        a1, a2, a3, a4 = rhs(s, y1, y2, y3, y4)
-        b1, b2, b3, b4 = rhs(s + h2, y1 + h2 * a1, y2 + h2 * a2, y3 + h2 * a3, y4 + h2 * a4)
-        c1, c2, c3, c4 = rhs(s + h2, y1 + h2 * b1, y2 + h2 * b2, y3 + h2 * b3, y4 + h2 * b4)
-        d1, d2, d3, d4 = rhs(s + h, y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4)
-        y1 = y1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
-        y2 = y2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2)
-        y3 = y3 + h6 * (a3 + 2 * b3 + 2 * c3 + d3)
-        y4 = y4 + h6 * (a4 + 2 * b4 + 2 * c4 + d4)
-        s = s_end if i == n_steps - 1 else (i + 1) * h
-        y = (y1, y2, y3, y4)
-        if not (isfinite(y1) and isfinite(y2) and isfinite(y3) and isfinite(y4)):
-            raise _non_finite(s, y)
-        samples.append((s, y))
-    return samples
-
-
-def _integrate_dp45(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -> list[tuple[float, State4]]:
-    # Step-size control as in Hairer, Norsett & Wanner, Solving ODEs I,
-    # section II.4: RMS error norm with mixed absolute/relative scale,
-    # safety factor 0.9 and growth limited to [0.2, 5].  `max(a, b)` is
-    # written `b if b > a else a` and `min(a, b)` as `b if b < a else a`:
-    # the same result, ties and NaN included, without a builtin call.
-    # Each stage, solution and error sum starts at its first term c*a: every
-    # right-hand side returns +0.0, never -0.0 (its sums start from 0.0), and
-    # each first coefficient (_A21 ... _A61, _B1, _E1) is positive, so
-    # 0.0 + c*a == c*a, except where c*a underflows to -0.0 (a < 0 with
-    # |a| < 2.1e-321); that sign shows only in a zero sum added to a -0.0.
-    isfinite, sqrt = math.isfinite, math.sqrt
-    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
-    h_min = _MIN_STEP_FRACTION * max(1.0, s_end)
-    s = 0.0
-    y1, y2, y3, y4 = y0
-    samples = [(0.0, y0)]
-    h = max_step  # the clamp and is_last below make the first step
-    a1, a2, a3, a4 = rhs(s, y1, y2, y3, y4)
-    while s < s_end:
-        h = max_step if max_step < h else h
-        # A step that would leave less than h_min of the span becomes the
-        # last one, instead of leaving a sliver no step can cover.
-        is_last = s_end - s - h < h_min
-        if is_last:
-            h = s_end - s
-        if h < h_min:
-            raise StepSizeUnderflow(f"step {h!r} below minimum near s = {s!r}")
-        b1, b2, b3, b4 = rhs(
-            s + _C2 * h,
-            y1 + h * (_A21 * a1),
-            y2 + h * (_A21 * a2),
-            y3 + h * (_A21 * a3),
-            y4 + h * (_A21 * a4),
-        )
-        c1, c2, c3, c4 = rhs(
-            s + _C3 * h,
-            y1 + h * (_A31 * a1 + _A32 * b1),
-            y2 + h * (_A31 * a2 + _A32 * b2),
-            y3 + h * (_A31 * a3 + _A32 * b3),
-            y4 + h * (_A31 * a4 + _A32 * b4),
-        )
-        d1, d2, d3, d4 = rhs(
-            s + _C4 * h,
-            y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
-            y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
-            y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3),
-            y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4),
-        )
-        e1, e2, e3, e4 = rhs(
-            s + _C5 * h,
-            y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-            y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
-            y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
-            y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4),
-        )
-        f1, f2, f3, f4 = rhs(
-            s + h,
-            y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
-            y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
-            y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
-            y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4),
-        )
-        n1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
-        n2 = y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2)
-        n3 = y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3)
-        n4 = y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)
-        g1, g2, g3, g4 = rhs(s + h, n1, n2, n3, n4)
-        u1, u2, u3, u4 = abs(y1), abs(y2), abs(y3), abs(y4)
-        m1, m2, m3, m4 = abs(n1), abs(n2), abs(n3), abs(n4)
-        r1 = h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1) / (
-            abs_tol + rel_tol * (m1 if m1 > u1 else u1)
-        )
-        r2 = h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2) / (
-            abs_tol + rel_tol * (m2 if m2 > u2 else u2)
-        )
-        r3 = h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3) / (
-            abs_tol + rel_tol * (m3 if m3 > u3 else u3)
-        )
-        r4 = h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4) / (
-            abs_tol + rel_tol * (m4 if m4 > u4 else u4)
-        )
-        norm = sqrt((r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4) / 4)
-        if norm <= 1.0:
-            s = s_end if is_last else s + h
-            y1, y2, y3, y4 = n1, n2, n3, n4
-            if not (isfinite(y1) and isfinite(y2) and isfinite(y3) and isfinite(y4)):
-                raise _non_finite(s, (y1, y2, y3, y4))
-            a1, a2, a3, a4 = g1, g2, g3, g4  # FSAL: g was evaluated at (s, y)
-            samples.append((s, (y1, y2, y3, y4)))
-            if norm == 0.0:
-                factor = 5.0
-            else:
-                factor = 0.9 * norm**-0.2
-                factor = factor if factor < 5.0 else 5.0
-        else:
-            # a still holds f(s, y); only shrink the step.
-            factor = 0.9 * norm**-0.2
-            factor = factor if factor > 0.2 else 0.2
-            # The retry would leave a sliver (as would its clamp to max_step),
-            # so is_last would stretch it back to this rejected step forever.
-            if is_last and s_end - s - h * factor < h_min:
-                raise StepSizeUnderflow(f"no step covers the last {s_end - s!r} of the span at s = {s!r}")
-        h = h * factor
-    return samples
+# RK4 and DP45, generated when the first integration asks for them and then
+# kept for the life of the process.
+_steppers = cache(compile_steppers)
 
 
 def _check_step_budget(span: float, max_step: float) -> None:
@@ -533,15 +373,14 @@ def _check_step_budget(span: float, max_step: float) -> None:
 
 
 def _integrate_ode(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) -> list[tuple[float, State4]]:
-    """Integrate dy/ds = rhs(s, *y) from s = 0 to s_end >= 0.
-
-    Returns the accepted samples, endpoints included.
-    """
+    """Integrate dy/ds = rhs(s, *y) from s = 0 to s_end >= 0; returns the
+    accepted samples, endpoints included."""
     if s_end == 0.0:
         return [(0.0, y0)]
+    rk4, dp45 = _steppers()
     if cfg.method == "rk4-fixed":
-        return _integrate_rk4(rhs, s_end, y0, cfg.max_step)
-    return _integrate_dp45(rhs, s_end, y0, cfg)
+        return rk4(rhs, s_end, y0, cfg.max_step)
+    return dp45(rhs, s_end, y0, cfg.abs_tol, cfg.rel_tol, cfg.max_step)
 
 
 # -- public integration ---------------------------------------------------
@@ -595,8 +434,9 @@ def integrate_pfaffian(
     if path.waypoints[0] != t0:
         raise ValueError("path must start at t0")
     y = _initial_state(state0)
-    for start, stop in path.segments():
-        _check_step_budget(math.hypot(stop.t1 - start.t1, stop.t2 - start.t2), cfg.max_step)
+    # The budget bounds the whole path, so no number of segments asks for
+    # more steps than one span may take.
+    _check_step_budget(sum(math.hypot(b.t1 - a.t1, b.t2 - a.t2) for a, b in path.segments()), cfg.max_step)
     segment = _flows(deformed, float(cfg.alpha))[2]
     diag = _diagnostics(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
 

@@ -25,7 +25,7 @@ det L with a negative power of lambda, whose samples are literals.  Once
 alpha is folded in, the deformation's `x2^-2`/`x2^-3` terms are the only
 negative powers, and alpha = 0 removes them together with the guard.
 
-Two kinds of generated function feed the steppers and the trajectory rows:
+Three kinds of generated function make up an integration run:
 
 - `compile_flows` turns the two Hamiltonian vector fields into the steppers'
   right-hand sides `rhs(s, x1, x2, p1, p2)`: one function per autonomous
@@ -42,6 +42,9 @@ Two kinds of generated function feed the steppers and the trajectory rows:
   det L is real, so each eigenvalue +-sqrt(-det L) is real or imaginary:
   its two cells come from `math.sqrt`, and only a det L within 1e-300 of
   zero goes through `cmath.sqrt`, which gives the same bits.
+- `compile_steppers` generates classic RK4 and the Dormand-Prince 5(4) pair
+  from their coefficients: the DP45 tableau is data, and each stage rule is
+  written once and expanded over the components y1 ... y4.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ from typing import Callable, Sequence
 
 from .algebra import LaurentPoly, VarId
 
-__all__ = ["CompiledPolySet", "NonFiniteState", "SingularState", "compile_diagnostics", "compile_flows"]
+__all__ = [
+    "CompiledPolySet", "NonFiniteState", "SingularState", "StepSizeUnderflow",
+    "compile_diagnostics", "compile_flows", "compile_steppers",
+]
 
 # A variable at a negative power whose value is this close to zero counts as
 # sitting on the singular set.
@@ -73,6 +79,11 @@ class SingularState(ZeroDivisionError):
 class NonFiniteState(RuntimeError):
     """A state or a diagnostic (h1, h2, det L) became infinite or NaN, for
     instance when a fixed step steps through a blow-up."""
+
+
+class StepSizeUnderflow(RuntimeError):
+    """The adaptive integrator could not meet the tolerance with any
+    representable step (typically a finite-time blow-up)."""
 
 
 def _chain(mono: Sequence[int], names: Sequence[str]) -> str:
@@ -127,7 +138,7 @@ def _stack_source(polys: Sequence[LaurentPoly], prefix: str) -> list[str]:
 
 
 def _compile(lines: list[str], *names: str) -> tuple[Callable, ...]:
-    namespace: dict = {"SingularState": SingularState, "NonFiniteState": NonFiniteState}
+    namespace: dict = {error.__name__: error for error in (SingularState, NonFiniteState, StepSizeUnderflow)}
     exec(compile("\n".join(lines) + "\n", "<hhlax.kernels>", "exec"), namespace)
     # Popped, so that the functions and their globals form no reference
     # cycle and a dropped function is freed at once, without a cyclic
@@ -280,3 +291,148 @@ def compile_diagnostics(
     lines.append(f"    return [{row}]")
     (diag,) = _compile(lines, "diag")
     return diag
+
+
+# -- steppers ------------------------------------------------------------
+
+# Dormand-Prince 5(4) tableau.  The last row of A equals the 5th-order
+# weights B5, so the state passed to the seventh stage is the new state and
+# that stage doubles as the first stage of the next step (FSAL).
+_DP45_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP45_A = (
+    (), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP45_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP45_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# E = B5 - B4 weighs the embedded error estimate.  These are differences of
+# the rounded weights: the exact differences round otherwise in four of the
+# six nonzero weights, which would move every adaptive step.
+_DP45_E = tuple(b5 - b4 for b5, b4 in zip(_DP45_B5, _DP45_B4))
+
+# Names of the stage derivatives, and the phase-space components y1 ... y4.
+_STAGES = "abcdefg"
+_COMPONENTS = range(1, 5)
+
+
+def _each(term: Callable[[int], str], sep: str = ", ") -> str:
+    """`term(j)` for every component j, joined by `sep`."""
+    return sep.join(map(term, _COMPONENTS))
+
+
+def _vector(name: str) -> str:
+    """`y1, y2, y3, y4` for `y`."""
+    return _each(lambda j: f"{name}{j}")
+
+
+def _combination(weights: Sequence[float], j: int) -> str:
+    """`0.075*a1 + 0.225*b1`, leaving out zero weights and writing no 1.0."""
+    return " + ".join(_term(repr(float(w)), f"*{k}{j}") for w, k in zip(weights, _STAGES) if w)
+
+
+def _update(step: str, weights: Sequence[float]) -> str:
+    """`y1 + h * (...), y2 + h * (...), ...` for the weighted stages."""
+    return _each(lambda j: f"y{j} + {step} * ({_combination(weights, j)})")
+
+
+def compile_steppers() -> tuple[Callable[..., list], Callable[..., list]]:
+    """`rk4(rhs, s_end, y0, max_step)`, in ceil(s_end / max_step) equal
+    steps, and `dp45(rhs, s_end, y0, abs_tol, rel_tol, max_step)`.  Both
+    integrate dy/ds = rhs(s, y1, y2, y3, y4) from s = 0 to s_end > 0 and
+    return the accepted samples [(s, (y1, y2, y3, y4)), ...], endpoints
+    included; a state that is not finite raises NonFiniteState.
+
+    RK4 keeps its own steps h/2, h and h/6 times (a + 2b + 2c + d): a
+    tableau's h times weights 1/2 and 1/6 would round otherwise.
+    """
+    y, a, b, c, d, n, g = map(_vector, "yabcdng")
+    finite = _each(lambda j: f"isfinite(y{j})", " and ")
+    stages = "\n".join(
+        f"        {_vector(k)} = rhs(s + {_term(repr(node), '*h')}, {_update('h', row)})"
+        for k, node, row in zip(_STAGES[1:], _DP45_C[1:], _DP45_A[1:])
+    )
+    errors = _each(
+        lambda j: f"h * ({_combination(_DP45_E, j)}) / (abs_tol + rel_tol * (m{j} if m{j} > u{j} else u{j}))"
+    )
+    source = f"""from math import ceil, isfinite, sqrt
+
+def rk4(rhs, s_end, y0, max_step):
+    n_steps = max(1, ceil(s_end / max_step))
+    h = s_end / n_steps
+    h2, h6 = h / 2, h / 6
+    s = 0.0
+    {y} = y0
+    samples = [(0.0, y0)]
+    for i in range(n_steps):
+        {a} = rhs(s, {y})
+        {b} = rhs(s + h2, {_update("h2", (1.0,))})
+        {c} = rhs(s + h2, {_update("h2", (0.0, 1.0))})
+        {d} = rhs(s + h, {_update("h", (0.0, 0.0, 1.0))})
+        {y} = {_update("h6", (1.0, 2.0, 2.0, 1.0))}
+        s = s_end if i == n_steps - 1 else (i + 1) * h
+        y = ({y})
+        if not ({finite}):
+            raise NonFiniteState(f"state {{y!r}} is not finite at s = {{s!r}}")
+        samples.append((s, y))
+    return samples
+
+
+def dp45(rhs, s_end, y0, abs_tol, rel_tol, max_step):
+    # Step-size control as in Hairer, Norsett & Wanner, Solving ODEs I,
+    # section II.4: RMS error norm with mixed absolute/relative scale,
+    # safety factor 0.9 and growth limited to [0.2, 5].  `max(a, b)` is
+    # written `b if b > a else a` and `min(a, b)` as `b if b < a else a`:
+    # the same result, ties and NaN included, without a builtin call.
+    # Each stage, solution and error sum starts at its first term c*a: every
+    # right-hand side returns +0.0, never -0.0 (its sums start from 0.0), and
+    # each first weight (A21 ... A61, B1, E1) is positive, so
+    # 0.0 + c*a == c*a, except where c*a underflows to -0.0 (a < 0 with
+    # |a| < 2.1e-321); that sign shows only in a zero sum added to a -0.0.
+    # A step shorter than 1e-14 of the span (or of 1) aborts the run.
+    h_min = 1e-14 * (s_end if s_end > 1.0 else 1.0)
+    s = 0.0
+    {y} = y0
+    samples = [(0.0, y0)]
+    h = max_step  # the clamp and is_last below make the first step
+    {a} = rhs(s, {y})
+    while s < s_end:
+        h = max_step if max_step < h else h
+        # A step that would leave less than h_min of the span becomes the
+        # last one, instead of leaving a sliver no step can cover.
+        is_last = s_end - s - h < h_min
+        if is_last:
+            h = s_end - s
+        if h < h_min:
+            raise StepSizeUnderflow(f"step {{h!r}} below minimum near s = {{s!r}}")
+{stages}
+        {n} = {_update("h", _DP45_B5)}
+        {g} = rhs(s + h, {n})
+        {_vector("u")} = {_each(lambda j: f"abs(y{j})")}
+        {_vector("m")} = {_each(lambda j: f"abs(n{j})")}
+        {_vector("r")} = {errors}
+        norm = sqrt(({_each(lambda j: f"r{j} * r{j}", " + ")}) / {len(_COMPONENTS)})
+        if norm <= 1.0:
+            s = s_end if is_last else s + h
+            {y} = {n}
+            if not ({finite}):
+                raise NonFiniteState(f"state {{({y})!r}} is not finite at s = {{s!r}}")
+            {a} = {g}  # FSAL: g was evaluated at (s, y)
+            samples.append((s, ({y})))
+            if norm == 0.0:
+                factor = 5.0
+            else:
+                factor = 0.9 * norm**-0.2
+                factor = factor if factor < 5.0 else 5.0
+        else:
+            # a still holds f(s, y); only shrink the step.
+            factor = 0.9 * norm**-0.2
+            factor = factor if factor > 0.2 else 0.2
+            # The retry would leave a sliver (as would its clamp to max_step),
+            # so is_last would stretch it back to this rejected step forever.
+            if is_last and s_end - s - h * factor < h_min:
+                raise StepSizeUnderflow(f"no step covers the last {{s_end - s!r}} of the span at s = {{s!r}}")
+        h = h * factor
+    return samples
+"""
+    return _compile([source], "rk4", "dp45")

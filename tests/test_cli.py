@@ -297,6 +297,8 @@ SIMULATE = ["simulate", "--flow", "t1", "--state", "1,1,0,0", "--duration", "1"]
         SIMULATE + ["--duration", "1e5"],
         ["simulate", "--flow", "t2", "--deformed", "true", "--duration", "2e4"],
         ["pfaffian", "--waypoints", "0,0;0.5,0;1e5,0"],
+        # Every segment fits the budget; the whole path needs 2.4e6 steps.
+        ["pfaffian", "--waypoints", "0,0;6e3,0;0,0;6e3,0;0,0"],
     ],
 )
 def test_bad_number_exits_2(argv, tmp_path, capsys, monkeypatch):
@@ -334,6 +336,20 @@ def test_numeric_failure_exits_3(argv, message, tmp_path, capsys):
     prefix = "evaluation aborted: " if argv[0] == "spectral" else "integration aborted: "
     assert err.startswith(prefix) and message in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_unwritable_output_exits_2(flag, tmp_path, capsys):
+    # An output file that cannot be opened is bad input, not a failed check.
+    paths = {"--out": tmp_path / "run.csv", "--svg": tmp_path / "run.svg"}
+    paths[flag] = tmp_path / "missing" / "run"
+    code, _, err = run_cli(
+        "simulate", "--flow", "t1", "--duration", "0.1",
+        "--out", str(paths["--out"]), "--svg", str(paths["--svg"]), capsys=capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and str(paths[flag]) in err
+    assert not paths["--svg"].exists()
 
 
 # Finite numbers, with zeros, huge values and subnormals drawn often.

@@ -8,7 +8,7 @@ from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hhlax import dynamics
 from hhlax.algebra import VarId
@@ -180,6 +180,18 @@ class TestPfaffianIntegration:
         parameters = [sample.s for sample in trajectory.samples]
         assert all(a < b for a, b in zip(parameters, parameters[1:]))
         assert parameters[-1] == pytest.approx(0.5)
+
+    def test_step_budget_bounds_the_whole_path(self, monkeypatch):
+        # Each side of the square fits a budget of 10 steps of at most 0.1;
+        # the path needs 32, so it is refused before any stepping.
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
+        monkeypatch.setattr(dynamics, "_integrate_ode", no_integration)
+        square = Path.from_pairs([(0, 0), (0.8, 0), (0.8, 0.8), (0, 0.8), (0, 0)])
+        with pytest.raises(ValueError, match="more than 10 steps"):
+            integrate_pfaffian(REFERENCE, ORIGIN, square, IntegratorConfig(max_step=0.1))
 
     def test_attractive_singularity_aborts(self):
         # alpha < 0 makes the centrifugal term attractive, so the x2 = 0 set
@@ -476,8 +488,10 @@ def test_non_finite_input_is_a_value_error(entry, bad, monkeypatch):
 
 def test_each_entry_point_compiles_only_what_it_calls():
     # A snapshot (so eigenvalue_samples) builds no stepper right-hand side,
-    # flow_rhs builds no diagnostics row, and an integration builds both.
+    # flow_rhs builds no diagnostics row, neither builds the steppers, and
+    # an integration builds all three; the steppers once per process.
     flows, diagnostics = dynamics._flows.cache_info, dynamics._diagnostics.cache_info
+    dynamics._steppers.cache_clear()
     alpha = 0.0123456789
     before = flows().misses, diagnostics().misses
     snapshot(True, REFERENCE, ORIGIN, IntegratorConfig(alpha=alpha))
@@ -486,8 +500,12 @@ def test_each_entry_point_compiles_only_what_it_calls():
     flow_rhs(True, 1, REFERENCE, ORIGIN, alpha)
     flow_rhs(True, 2, REFERENCE, ORIGIN, alpha)
     assert (flows().misses, diagnostics().misses) == (before[0] + 1, before[1] + 2)
-    integrate_pfaffian(REFERENCE, ORIGIN, Path.from_pairs([(0, 0), (0.01, 0)]), IntegratorConfig(alpha=alpha))
+    assert dynamics._steppers.cache_info().misses == 0
+    for method in ("rk45-adaptive", "rk4-fixed"):
+        cfg = IntegratorConfig(method=method, alpha=alpha)
+        integrate_pfaffian(REFERENCE, ORIGIN, Path.from_pairs([(0, 0), (0.01, 0)]), cfg)
     assert (flows().misses, diagnostics().misses) == (before[0] + 1, before[1] + 2)
+    assert dynamics._steppers.cache_info().misses == 1
 
 
 def test_distinct_alphas_leave_peak_memory_flat(child_peak_rss_kb):
@@ -571,3 +589,83 @@ def test_summary_matches_the_row_by_row_formulas_bit_for_bit(rows):
     trajectory = Trajectory(rows, tuple(range((len(rows[0]) - 9) // 2)))
     expected = _outcome(lambda: reference_summary(rows))
     assert _outcome(trajectory.summary) == expected
+
+
+# -- symmetries of the float layer -----------------------------------------
+#
+# Both fields and all diagnostics keep their form under two maps of the
+# state, and every float operation of the steppers and the generated code
+# commutes with them exactly.  So each map acts on the rows bit for bit.
+
+
+def _hex_rows(run) -> list[list[str]] | str:
+    """The rows as float.hex, or the name of the error the run raises."""
+    try:
+        return [[cell.hex() for cell in row] for row in run().rows()]
+    except (SingularState, StepSizeUnderflow, NonFiniteState) as exc:
+        return type(exc).__name__
+
+
+def _away_from_zero(low: float, high: float):
+    """low <= |value| <= high with either sign: no signed zero enters a sum."""
+    return st.tuples(st.floats(low, high), st.booleans()).map(lambda pair: -pair[0] if pair[1] else pair[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method=st.sampled_from(["rk45-adaptive", "rk4-fixed"]),
+    alpha=st.sampled_from([0.0, 0.05, -0.02]),
+    kind=st.sampled_from(["t1", "t2", "loop", "autonomous loop"]),
+    state=st.tuples(*map(_away_from_zero, (0.05, 0.5, 0.05, 0.05), (1.2, 1.2, 0.4, 0.4))),
+    size=st.floats(0.05, 0.3),
+)
+def test_mirroring_x2_and_p2_mirrors_every_row_bit_for_bit(method, alpha, kind, state, size):
+    # (x2, p2) -> (-x2, -p2) leaves h1, h2 and det L unchanged and negates
+    # the x2 and p2 components of both fields, autonomous and deformed.
+    cfg = IntegratorConfig(method=method, alpha=alpha, max_step=0.05)
+    x1, x2, p1, p2 = state
+    loop = Path.from_pairs([(0, 0), (size, 0), (size, 0.5 * size), (0, 0)])
+
+    def run(start: PhaseState):
+        if kind in ("t1", "t2"):
+            return lambda: integrate_autonomous(1 if kind == "t1" else 2, start, 2 * size, cfg)
+        return lambda: integrate_pfaffian(start, ORIGIN, loop, cfg, deformed=kind == "loop")
+
+    rows = _hex_rows(run(PhaseState(x1, x2, p1, p2)))
+    mirrored = _hex_rows(run(PhaseState(x1, -x2, p1, -p2)))
+    if isinstance(rows, str):
+        assert mirrored == rows
+        return
+    negated = [
+        [(-float.fromhex(cell)).hex() if column in (4, 6) else cell for column, cell in enumerate(row)]
+        for row in rows
+    ]
+    assert mirrored == negated
+
+
+@pytest.mark.parametrize("e", [-1, 1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.05])
+def test_weighted_scaling_scales_every_rk4_row_exactly(e, k, alpha):
+    # With weights 2 for x, 3 for p, 10 for alpha and 2 for lambda, h1 is
+    # homogeneous of weight 6, h2 of weight 8 and det L of weight 10, and the
+    # flows of h1 and h2 take times of weight -1 and -3.  Scaling by powers
+    # of two is exact, so rk4-fixed scales every row exactly.  DP45 is left
+    # out: its abs_tol weighs all components alike.
+    time_weight = -1 if k == 1 else -3
+    scale = 2.0 ** (time_weight * e)
+    state, lambdas = PhaseState(0.9, 0.7, 0.1, -0.2), (0.5, 1.0, 2.0)
+    cfg = IntegratorConfig(method="rk4-fixed", max_step=0.05, alpha=alpha, lambdas=lambdas)
+    scaled_cfg = IntegratorConfig(
+        method="rk4-fixed",
+        max_step=0.05 * scale,
+        alpha=math.ldexp(alpha, 10 * e),
+        lambdas=tuple(math.ldexp(lam, 2 * e) for lam in lambdas),
+    )
+    scaled_state = PhaseState(*(math.ldexp(v, w * e) for v, w in zip(astuple(state), (2, 2, 3, 3))))
+    rows = integrate_autonomous(k, state, 0.5, cfg).rows()
+    scaled_rows = integrate_autonomous(k, scaled_state, 0.5 * scale, scaled_cfg).rows()
+    weights = (time_weight, -1, -3, 2, 2, 3, 3, 6, 8) + (5,) * (2 * len(lambdas))
+    assert len(rows) == len(scaled_rows) == 11
+    for row, scaled_row in zip(rows, scaled_rows):
+        assert [math.ldexp(cell, w * e).hex() for cell, w in zip(row, weights)] == [c.hex() for c in scaled_row]
