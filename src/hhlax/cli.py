@@ -15,11 +15,13 @@ raised where the value is made, or an output file that cannot be written),
 from __future__ import annotations
 
 import argparse
-import math
+import os
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from .dynamics import (
+    METHODS,
     IntegratorConfig,
     NonFiniteState,
     Path,
@@ -28,6 +30,7 @@ from .dynamics import (
     StepSizeUnderflow,
     TimePoint,
     Trajectory,
+    _checked_duration,
     _lambda_label,
     eigenvalue_samples,
     integrate_autonomous,
@@ -74,50 +77,59 @@ def _parse_bool(text: str) -> bool:
 
 
 def _add_integrator_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=["rk45-adaptive", "rk4-fixed"],
-                        default="rk45-adaptive")
-    parser.add_argument("--abs-tol", type=float, default=1e-12)
-    parser.add_argument("--rel-tol", type=float, default=1e-12)
-    parser.add_argument("--max-step", type=float, default=0.01)
-    parser.add_argument("--alpha", type=float, default=0.0)
-    parser.add_argument("--lambdas", default="0.5,1,2",
-                        help="spectral-parameter samples, comma separated")
+    # No defaults here: a setting left out is IntegratorConfig's default.
+    parser.add_argument("--method", choices=METHODS)
+    parser.add_argument("--abs-tol", type=float)
+    parser.add_argument("--rel-tol", type=float)
+    parser.add_argument("--max-step", type=float)
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--lambdas", help="spectral-parameter samples, comma separated")
     parser.add_argument("--out", required=True, help="output file for the trajectory")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--svg", help="also write an SVG polyline of (s, x1)")
 
 
 def _config_from_args(args: argparse.Namespace) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=args.method,
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        max_step=args.max_step,
-        alpha=args.alpha,
-        lambdas=tuple(_parse_floats(args.lambdas, what="lambdas")),
-    )
+    """The settings given on the command line; IntegratorConfig supplies the rest."""
+    names = [field.name for field in fields(IntegratorConfig)]
+    given = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+    if "lambdas" in given:
+        given["lambdas"] = tuple(_parse_floats(given["lambdas"], what="lambdas"))
+    return IntegratorConfig(**given)
 
 
 def _export(trajectory: Trajectory, args: argparse.Namespace) -> None:
+    targets = [args.out, args.svg] if args.svg else [args.out]
+    # Opening for appending truncates nothing, so a target that cannot be
+    # opened ends the run before any is written; a file made here is removed.
+    made = [path for path in targets if not os.path.lexists(path)]
+    try:
+        for path in targets:
+            open(path, "a").close()
+    except OSError:
+        for path in filter(os.path.lexists, made):
+            os.remove(path)
+        raise
     with open(args.out, "w", newline="") as stream:
         if args.format == "csv":
             trajectory.write_csv(stream)
             summary = trajectory.summary()
         else:
             summary = trajectory.write_json(stream)["summary"]
+    if args.svg:
+        _write_svg(trajectory, args.svg)
     print(f"samples = {summary['samples']}")
     print(f"h1 drift = {summary['h1_drift']:.6e}")
     print(f"h2 drift = {summary['h2_drift']:.6e}")
     print(f"eigenvalue drift = {summary['eigenvalue_drift']:.6e}")
-    print(f"wrote {args.out}")
-    if args.svg:
-        _write_svg(trajectory, args.svg)
-        print(f"wrote {args.svg}")
+    for path in targets:
+        print(f"wrote {path}")
 
 
 def _write_svg(trajectory: Trajectory, filename: str) -> None:
-    s_values = [row[0] for row in trajectory.rows()]
-    x_values = [row[3] for row in trajectory.rows()]
+    s_column, x_column = map(trajectory.column_names().index, ("s", "x1"))
+    s_values = [row[s_column] for row in trajectory.rows()]
+    x_values = [row[x_column] for row in trajectory.rows()]
     s_min, x_min = min(s_values), min(x_values)
     s_span = (max(s_values) - s_min) or 1.0
     x_span = (max(x_values) - x_min) or 1.0
@@ -170,17 +182,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     deformed = _parse_bool(args.deformed)
     k = 1 if args.flow == "t1" else 2
-    if not math.isfinite(args.duration) or args.duration < 0:
-        raise ValueError("duration must be finite and nonnegative")
+    duration = _checked_duration(args.duration)
     if not deformed:
-        trajectory = integrate_autonomous(k, state0, args.duration, cfg)
-    elif args.duration == 0:
+        trajectory = integrate_autonomous(k, state0, duration, cfg)
+    elif duration == 0:
         trajectory = snapshot(True, state0, t0, cfg)
     else:
-        end = TimePoint(
-            t0.t1 + (args.duration if k == 1 else 0.0),
-            t0.t2 + (args.duration if k == 2 else 0.0),
-        )
+        end = TimePoint(t0.t1 + (duration if k == 1 else 0.0), t0.t2 + (duration if k == 2 else 0.0))
         trajectory = integrate_pfaffian(state0, t0, Path((t0, end)), cfg, deformed=True)
     _export(trajectory, args)
     return 0
@@ -199,21 +207,21 @@ def _cmd_pfaffian(args: argparse.Namespace) -> int:
 def _cmd_spectral(args: argparse.Namespace) -> int:
     state = _parse_state(args.state)
     t = _parse_timepoint(args.t)
-    lambdas = _parse_floats(args.lambdas, what="lambdas")
+    cfg = _config_from_args(args)
     deformed = _parse_bool(args.deformed)
     from .verify import spectral_curve_coefficients
 
     # Computed before anything is printed, so a numeric failure leaves no
     # partial output behind.
-    samples = eigenvalue_samples(deformed, state, t, args.alpha, lambdas)
+    samples = eigenvalue_samples(deformed, state, t, cfg.alpha, cfg.lambdas)
     print(f"det L(lambda) coefficients ({'deformed' if deformed else 'autonomous'}):")
     for power, coefficient in spectral_curve_coefficients(deformed).items():
         print(f"  lambda^{power}: {coefficient}")
     print(
         f"eigenvalues at state = ({state.x1:g}, {state.x2:g}, {state.p1:g}, {state.p2:g}), "
-        f"t = ({t.t1:g}, {t.t2:g}), alpha = {args.alpha:g}:"
+        f"t = ({t.t1:g}, {t.t2:g}), alpha = {cfg.alpha:g}:"
     )
-    for lam, (plus, minus) in zip(lambdas, samples):
+    for lam, (plus, minus) in zip(cfg.lambdas, samples):
         print(
             f"  lambda = {_lambda_label(lam)}: {plus.real:.12g}{plus.imag:+.12g}j, "
             f"{minus.real:.12g}{minus.imag:+.12g}j"
@@ -256,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("spectral", help="spectral curve and eigenvalue samples")
     sub.add_argument("--state", required=True)
     sub.add_argument("--t", default="0,0")
-    sub.add_argument("--alpha", type=float, default=0.0)
-    sub.add_argument("--lambdas", default="0.5,1,2")
+    sub.add_argument("--alpha", type=float)
+    sub.add_argument("--lambdas")
     sub.add_argument("--deformed", default="false")
     sub.set_defaults(handler=_cmd_spectral)
 

@@ -59,6 +59,7 @@ __all__ = [
     "PhaseState",
     "TimePoint",
     "Path",
+    "METHODS",
     "IntegratorConfig",
     "TrajectorySample",
     "Trajectory",
@@ -76,6 +77,8 @@ __all__ = [
 _MAX_STEPS = 10**6
 # Step in mu of the central difference in check_reparametrization_numeric.
 _FD_STEP = 1e-6
+# The integration methods of IntegratorConfig.
+METHODS = ("rk45-adaptive", "rk4-fixed")
 
 
 # (x1, x2, p1, p2), the stepper's working form of a PhaseState.
@@ -92,6 +95,13 @@ def _is_finite(number: float) -> bool:
 def _require_finite(what: str, value, numbers: Iterable[float]) -> None:
     if not all(map(_is_finite, numbers)):
         raise ValueError(f"{what} must be finite, got {value!r}")
+
+
+def _checked_duration(duration: float) -> float:
+    """`duration` as a float; a duration must be finite and nonnegative."""
+    if not _is_finite(duration) or duration < 0:
+        raise ValueError("duration must be finite and nonnegative")
+    return float(duration)
 
 
 @dataclass(frozen=True)
@@ -158,7 +168,7 @@ class IntegratorConfig:
     lambdas: tuple[float, ...] = (0.5, 1.0, 2.0)
 
     def __post_init__(self):
-        if self.method not in ("rk4-fixed", "rk45-adaptive"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         # A NaN max_step never advances the stepper, and an infinite
         # tolerance accepts any step.
@@ -276,12 +286,10 @@ class Trajectory:
         return self._rows
 
     def write_csv(self, stream) -> None:
-        import csv
-
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(self.column_names())
-        for row in self._rows:
-            writer.writerow(map(repr, row))
+        """One line per row.  Every cell is a float repr and every column
+        name plain text, so no cell needs quoting."""
+        stream.write(",".join(self.column_names()) + "\n")
+        stream.writelines(",".join(map(repr, row)) + "\n" for row in self._rows)
 
     def write_json(self, stream) -> dict:
         """Writes the columns, the rows (the stored lists themselves) and
@@ -406,9 +414,7 @@ def integrate_autonomous(
     cfg = cfg or IntegratorConfig()
     if k not in (1, 2):
         raise ValueError("flow index must be 1 or 2")
-    if not _is_finite(duration) or duration < 0:
-        raise ValueError("duration must be finite and nonnegative")
-    y0, duration = _initial_state(state0), float(duration)
+    y0, duration = _initial_state(state0), _checked_duration(duration)
     _check_step_budget(duration, cfg.max_step)
     flow1, flow2, _ = _flows(False, float(cfg.alpha))
     diag = _diagnostics(False, float(cfg.alpha), tuple(map(float, cfg.lambdas)))

@@ -188,8 +188,10 @@ def hamiltonians(deformed: bool = False) -> HamiltonianSet:
     return HamiltonianSet(h1, h2, deformed)
 
 
+@lru_cache(maxsize=64)
 def hamiltonian_vector_field(hamiltonian: LaurentPoly) -> VectorField4:
-    """(dH/dp1, dH/dp2, -dH/dx1, -dH/dx2)."""
+    """(dH/dp1, dH/dp2, -dH/dx1, -dH/dx2), built once for each of the last 64
+    Hamiltonians, so its negated components keep their derivative memo."""
     return VectorField4(
         (
             hamiltonian.diff(VarId.P1),

@@ -27,7 +27,6 @@ from .model import (
     LaxTriple,
     VectorField4,
     deformation_coefficients,
-    derivative_along,
     hamiltonian_vector_field,
     hamiltonians,
     isomonodromy_deformation_term,
@@ -90,18 +89,17 @@ class IdentityReport:
 def _lax_defect(k: int, triple: LaxTriple, hams: HamiltonianSet) -> PolyMatrix2:
     """D_{Y_k} L - [U_k, L]: the derivative of L along flow k minus the commutator.
 
-    D is linear, so for a traceless L (`e22 == -e11`, as in both model
-    triples) D(e22) is taken as -D(e11); an L with any other diagonal has
-    all four entries differentiated.
+    Along the Hamiltonian field of H_k an entry e changes as {e, H_k}, so
+    each entry is one Poisson bracket.  The bracket is linear, so for a
+    traceless L (`e22 == -e11`, as in both model triples) D(e22) is taken
+    as -D(e11); an L with any other diagonal has all four entries bracketed.
     """
     u_matrix = triple.flow_matrix(k)  # rejects a flow index other than 1 or 2
-    field = hamiltonian_vector_field(hams.h1 if k == 1 else hams.h2)
+    h = hams.h1 if k == 1 else hams.h2
     big_l = triple.L
-    d11 = derivative_along(big_l.e11, field)
-    d22 = -d11 if big_l.e22 == -big_l.e11 else derivative_along(big_l.e22, field)
-    transported = PolyMatrix2(
-        d11, derivative_along(big_l.e12, field), derivative_along(big_l.e21, field), d22
-    )
+    d11 = poisson_bracket(big_l.e11, h)
+    d22 = -d11 if big_l.e22 == -big_l.e11 else poisson_bracket(big_l.e22, h)
+    transported = PolyMatrix2(d11, poisson_bracket(big_l.e12, h), poisson_bracket(big_l.e21, h), d22)
     return transported - mat_commutator(u_matrix, big_l)
 
 

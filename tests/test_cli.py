@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hhlax
-from hhlax import dynamics
+from hhlax import cli, dynamics
 from hhlax.cli import _write_svg, main
 from hhlax.model import potential
 
@@ -341,15 +341,45 @@ def test_numeric_failure_exits_3(argv, message, tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--out", "--svg"])
 def test_unwritable_output_exits_2(flag, tmp_path, capsys):
     # An output file that cannot be opened is bad input, not a failed check.
+    # It is refused before either file is written: the other one is neither
+    # created nor truncated, and nothing is printed.
     paths = {"--out": tmp_path / "run.csv", "--svg": tmp_path / "run.svg"}
     paths[flag] = tmp_path / "missing" / "run"
-    code, _, err = run_cli(
-        "simulate", "--flow", "t1", "--duration", "0.1",
-        "--out", str(paths["--out"]), "--svg", str(paths["--svg"]), capsys=capsys,
-    )
-    assert code == 2
-    assert err.startswith("error: ") and str(paths[flag]) in err
-    assert not paths["--svg"].exists()
+    other = paths["--svg" if flag == "--out" else "--out"]
+    for existing in (None, "old"):
+        if existing is not None:
+            other.write_text(existing)
+        code, out, err = run_cli(
+            "simulate", "--flow", "t1", "--duration", "0.1",
+            "--out", str(paths["--out"]), "--svg", str(paths["--svg"]), capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(paths[flag]) in err
+        assert (other.read_text() if other.exists() else None) == existing
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--flow", "t1", "--duration", "0"],
+        ["pfaffian", "--waypoints", "0,0;0.1,0"],
+        ["spectral", "--state", "1,1,0,0"],
+    ],
+    ids=["simulate", "pfaffian", "spectral"],
+)
+def test_bare_command_uses_library_defaults(argv, tmp_path, monkeypatch, capsys):
+    configs = []
+    config_from_args = cli._config_from_args
+
+    def recording(args):
+        configs.append(config_from_args(args))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "_config_from_args", recording)
+    out = [] if argv[0] == "spectral" else ["--out", str(tmp_path / "run.csv")]
+    code, _, _ = run_cli(*argv, *out, capsys=capsys)
+    assert code == 0
+    assert configs == [dynamics.IntegratorConfig()]
 
 
 # Finite numbers, with zeros, huge values and subnormals drawn often.
@@ -501,6 +531,13 @@ class TestUsage:
         result = run_python("-c", "import sys, hhlax.cli; print('numpy' in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+def test_package_import_loads_no_submodule():
+    code = "import sys, hhlax\nprint(sorted(m for m in sys.modules if m.startswith('hhlax.')))"
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_import_leaves_subcommand_modules_unloaded():

@@ -1,5 +1,6 @@
 """Numeric flows: conservation, isospectrality, commutation, path independence."""
 
+import csv
 import io
 import json
 import math
@@ -386,6 +387,18 @@ class TestConfigAndExport:
         trajectory.write_csv(buffer)
         expected = (golden_dir / "trajectory_zero.csv").read_text()
         assert buffer.getvalue() == expected
+
+    def test_csv_matches_csv_writer(self):
+        # Labels that are reprs (1.0000001) and ones with '-' or 'e' in them.
+        cfg = IntegratorConfig(lambdas=(1.0000001, 1e-05, -0.5))
+        trajectory = integrate_autonomous(2, REFERENCE, 0.05, cfg)
+        buffer, reference = io.StringIO(), io.StringIO()
+        trajectory.write_csv(buffer)
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(trajectory.column_names())
+        writer.writerows(map(repr, row) for row in trajectory.rows())
+        assert "eig_re_1.0000001" in trajectory.column_names()
+        assert buffer.getvalue() == reference.getvalue()
 
     def test_json_round_trip(self):
         trajectory = integrate_autonomous(1, REFERENCE, 0.1)

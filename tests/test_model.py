@@ -209,6 +209,26 @@ class TestVectorFields:
         )
         assert combined == split
 
+    def test_field_is_built_once_per_hamiltonian(self):
+        h = hamiltonians(True).h2
+        assert hamiltonian_vector_field(h) is hamiltonian_vector_field(h + 0)
+
+    def test_warm_checks_miss_no_derivative_memo(self, monkeypatch):
+        # Every polynomial a warm run differentiates was differentiated by
+        # the same variable before, the negated field components included.
+        run_checks()
+        misses = []
+        diff = LaurentPoly.diff
+
+        def counting(self, var):
+            if var not in (self._diffs or {}):
+                misses.append((self, var))
+            return diff(self, var)
+
+        monkeypatch.setattr(LaurentPoly, "diff", counting)
+        run_checks()
+        assert misses == []
+
 
 class TestLaxMatrices:
     def test_upper_right_entry(self):

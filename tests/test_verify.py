@@ -129,8 +129,9 @@ class TestIsospectralLax:
 
 
 class TestLaxDefect:
-    """The defect takes D(e22) = -D(e11) for a traceless L; it must equal
-    the defect with all four entries differentiated."""
+    """The defect takes each entry's derivative as a Poisson bracket and
+    D(e22) = -D(e11) for a traceless L; it must equal the defect with all
+    four entries differentiated along the Hamiltonian vector field."""
 
     @staticmethod
     def _reference(k, triple, hams):
@@ -155,6 +156,18 @@ class TestLaxDefect:
         corrupted = self._with_l(triple, triple.L.e11, triple.L.e22 + p1 * lam)
         defect = _lax_defect(k, corrupted, hams)
         assert defect == self._reference(k, corrupted, hams)
+        assert defect != _lax_defect(k, triple, hams)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_corrupted_hamiltonian(self, k):
+        # The corruption of the exact benchmark's "h" target: h_k + c x1^2.
+        triple, hams = lax_matrices(True), hamiltonians(True)
+        term = Rational(-3, 4) * x1**2
+        corrupted = HamiltonianSet(
+            hams.h1 + (term if k == 1 else 0), hams.h2 + (term if k == 2 else 0), True
+        )
+        defect = _lax_defect(k, triple, corrupted)
+        assert defect == self._reference(k, triple, corrupted)
         assert defect != _lax_defect(k, triple, hams)
 
     @pytest.mark.parametrize("k", [1, 2])
