@@ -17,9 +17,6 @@ over the whole polynomial.  `Fraction` appears only at the boundary:
 coefficients go in as ints or Fractions and come out of `items()` and
 `sorted_terms()` as Fractions.  A sum copies the operand whose numerators
 need no rescaling to the common denominator and merges the other into it.
-A matrix row `a*u + b*v` whose coefficients a and b are single terms, as in
-the recursion steps of the potential hierarchy, is built in one pass: u
-shifted and scaled, v merged in, one normalisation.
 
 Each monomial is stored as one int, `sum(e_i << (32 * i))` over its eight
 exponents read as signed 32-bit digits, so a monomial product is one int
@@ -355,12 +352,7 @@ class LaurentPoly:
             return _raw(
                 {mono + shift: n for mono, n in self._terms.items()}, self._den, bound
             )
-        if num == 1:
-            # Only the denominator changes, as for the x2^2/4 entry of the
-            # recursion matrix.
-            terms = {mono + shift: n for mono, n in self._terms.items()}
-        else:
-            terms = {mono + shift: n * num for mono, n in self._terms.items()}
+        terms = {mono + shift: n * num for mono, n in self._terms.items()}
         return _normal(terms, self._den * den, bound)
 
     __rmul__ = __mul__
@@ -555,34 +547,6 @@ def poisson_bracket(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return acc
 
 
-def _row(a: LaurentPoly, u: LaurentPoly, b: LaurentPoly, v: LaurentPoly) -> LaurentPoly:
-    """a*u + b*v, in one pass when a and b are single terms and u, v nonzero."""
-    if len(a._terms) != 1 or len(b._terms) != 1 or not u._terms or not v._terms:
-        return a * u + b * v
-    (shift_a, num_a), = a._terms.items()
-    (shift_b, num_b), = b._terms.items()
-    bound = max(a._bound + u._bound, b._bound + v._bound)
-    if bound >= _LIMIT:
-        raise _overflow(bound)
-    # a*u is over a._den * u._den and b*v over b._den * v._den; bring both
-    # to their lcm.  No two terms of one product collect, so only the merge
-    # can cancel.
-    den_a, den_b = a._den * u._den, b._den * v._den
-    den = den_a if den_a == den_b else math.lcm(den_a, den_b)
-    num_a *= den // den_a
-    num_b *= den // den_b
-    terms = {mono + shift_a: n * num_a for mono, n in u._terms.items()}
-    get = terms.get
-    for mono, n in v._terms.items():
-        mono += shift_b
-        total = get(mono, 0) + n * num_b
-        if total:
-            terms[mono] = total
-        else:
-            del terms[mono]
-    return _normal(terms, den, bound)
-
-
 class PolyMatrix2:
     """2x2 matrix with Laurent-polynomial entries.
 
@@ -628,9 +592,6 @@ class PolyMatrix2:
     def __sub__(self, other: "PolyMatrix2") -> "PolyMatrix2":
         return PolyMatrix2(*(a - b for a, b in zip(self.entries(), other.entries())))
 
-    def __neg__(self) -> "PolyMatrix2":
-        return PolyMatrix2(*(-entry for entry in self.entries()))
-
     def __matmul__(self, other: "PolyMatrix2") -> "PolyMatrix2":
         return PolyMatrix2(
             self.e11 * other.e11 + self.e12 * other.e21,
@@ -648,17 +609,10 @@ class PolyMatrix2:
     __rmul__ = __mul__
 
     def apply(self, vector: tuple) -> tuple[LaurentPoly, LaurentPoly]:
-        """Matrix-vector product on a length-2 column.
-
-        A row `a*u + b*v` whose coefficients a and b are single terms, as
-        in every row of the recursion matrix and its inverse with two
-        nonzero entries, is computed in one pass: u shifted and scaled, v
-        merged in, one normalisation.  Any other row is the two products
-        and their sum.
-        """
+        """Matrix-vector product on a length-2 column."""
         v1, v2 = vector
         v1, v2 = as_poly(v1), as_poly(v2)
-        return (_row(self.e11, v1, self.e12, v2), _row(self.e21, v1, self.e22, v2))
+        return (self.e11 * v1 + self.e12 * v2, self.e21 * v1 + self.e22 * v2)
 
     def map(self, fn) -> "PolyMatrix2":
         """Apply `fn` entrywise."""

@@ -178,9 +178,11 @@ def _cmd_potential(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     state0 = _parse_state(args.state)
-    t0 = _parse_timepoint(args.t0)
     cfg = _config_from_args(args)
     deformed = _parse_bool(args.deformed)
+    if args.t0 is not None and not deformed:
+        raise ValueError("--t0 needs --deformed true: an autonomous flow runs in its own time")
+    t0 = TimePoint(0.0, 0.0) if args.t0 is None else _parse_timepoint(args.t0)
     k = 1 if args.flow == "t1" else 2
     duration = _checked_duration(args.duration)
     if not deformed:
@@ -250,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--deformed", default="false")
     sub.add_argument("--state", default="1,1,0,0")
     sub.add_argument("--duration", type=float, required=True)
-    sub.add_argument("--t0", default="0,0")
+    sub.add_argument("--t0", help="start time t1,t2 of a deformed run (default 0,0)")
     _add_integrator_arguments(sub)
     sub.set_defaults(handler=_cmd_simulate)
 

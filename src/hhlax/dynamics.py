@@ -255,7 +255,7 @@ class Trajectory:
     """One row per sample, in the column order of `column_names()`."""
 
     _rows: list[list[float]]
-    lambdas: tuple[float, ...] = (0.5, 1.0, 2.0)
+    lambdas: tuple[float, ...]
 
     @property
     def samples(self) -> Sequence[TrajectorySample]:

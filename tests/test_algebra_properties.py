@@ -395,8 +395,8 @@ def _assert_rows_match_products(m: PolyMatrix2, u: LaurentPoly, v: LaurentPoly) 
         assert_normal_form(row)
 
 
-# Entries are often single terms or zero, so both the one-pass row and the
-# row of two products are taken.
+# Entries are often single terms or zero, like those of the recursion
+# matrices, so rows reach the single-term and the zero shortcuts of `*`.
 matrix_entries = st.one_of(factors, st.just(LaurentPoly.zero()))
 
 

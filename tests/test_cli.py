@@ -158,7 +158,7 @@ class TestSimulateCommand:
         # Columns s, t1, t2, x1, ...: s spans [0, 1] and x1 spans [0.5, 2].
         rows = [[s, 0.0, 0.0, x1] + [0.0] * 11 for s, x1 in ((0.0, 1.0), (0.5, 2.0), (1.0, 0.5))]
         svg_file = tmp_path / "run.svg"
-        _write_svg(dynamics.Trajectory(rows), str(svg_file))
+        _write_svg(dynamics.Trajectory(rows, (0.5, 1.0, 2.0)), str(svg_file))
         assert svg_file.read_text() == (
             '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 640 360">'
             '<polyline fill="none" stroke="black" points="0.00,240.00 320.00,0.00 640.00,360.00"/>'
@@ -299,6 +299,8 @@ SIMULATE = ["simulate", "--flow", "t1", "--state", "1,1,0,0", "--duration", "1"]
         ["pfaffian", "--waypoints", "0,0;0.5,0;1e5,0"],
         # Every segment fits the budget; the whole path needs 2.4e6 steps.
         ["pfaffian", "--waypoints", "0,0;6e3,0;0,0;6e3,0;0,0"],
+        # An autonomous flow runs in its own time: a start time is refused.
+        SIMULATE + ["--t0", "5,7"],
     ],
 )
 def test_bad_number_exits_2(argv, tmp_path, capsys, monkeypatch):
@@ -308,8 +310,9 @@ def test_bad_number_exits_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dynamics, "_integrate_ode", no_integration)
     if argv[0] != "spectral":
         argv = argv + ["--out", str(tmp_path / "out.csv")]
-    code, _, err = run_cli(*argv, capsys=capsys)
+    code, out, err = run_cli(*argv, capsys=capsys)
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ")
     assert not (tmp_path / "out.csv").exists()
 
@@ -420,9 +423,11 @@ def _run_quietly(argv):
 def test_simulate_finite_input_property(flow, deformed, method, state, t0, duration, max_step, alpha, lambdas):
     with tempfile.TemporaryDirectory() as scratch:
         out_file = f"{scratch}/run.csv"
+        # Only a deformed run takes a start time.
+        start = [f"--t0={t0}"] if deformed == "true" else []
         code, _ = _run_quietly([
             "simulate", "--flow", flow, f"--deformed={deformed}", f"--method={method}",
-            f"--state={state}", f"--t0={t0}", f"--duration={duration!r}",
+            f"--state={state}", *start, f"--duration={duration!r}",
             f"--max-step={max_step!r}", f"--alpha={alpha!r}", f"--lambdas={lambdas}",
             "--out", out_file,
         ])
