@@ -431,34 +431,14 @@ class LaurentPoly:
 
     def substitute_rational(self, var: VarId, value: Scalar) -> "LaurentPoly":
         """Exactly substitute a rational value for one variable."""
-        p, q = _ratio(value)
-        powers = self._powers(var)
-        if not any(powers):
+        value = Fraction(*_ratio(value))
+        if not self.depends_on(var):
             return self
-        top, bottom = max(0, max(powers)), max(0, -min(powers))
-        if bottom and not p:
-            raise DivisionByZero(f"{var.symbol} = 0 but appears with exponent {-bottom}")
-        # (p/q)^n = p^(n + bottom) q^(top - n) / (p^bottom q^top), with both
-        # exponents on the right nonnegative for every n present.
-        scales = {n: p ** (n + bottom) * q ** (top - n) for n in set(powers)}
-        shift = _SHIFTS[var]
-        result: dict[int, int] = {}
-        get = result.get
-        for (mono, num), n in zip(self._terms.items(), powers):
-            scale = scales[n]
-            if not scale:
-                continue
-            mono -= n << shift
-            total = get(mono, 0) + num * scale
-            if total:
-                result[mono] = total
-            else:
-                del result[mono]
-        den = self._den * p**bottom * q**top
-        if den < 0:
-            den = -den
-            result = {mono: -num for mono, num in result.items()}
-        return _normal(result, den, self._bound)
+        coefficients = self.coefficients_in(var)
+        lowest = min(coefficients)
+        if lowest < 0 and not value:
+            raise DivisionByZero(f"{var.symbol} = 0 but appears with exponent {lowest}")
+        return sum((c * value**n for n, c in coefficients.items()), LaurentPoly.zero())
 
     # -- comparisons and rendering ------------------------------------
 
@@ -611,7 +591,6 @@ class PolyMatrix2:
     def apply(self, vector: tuple) -> tuple[LaurentPoly, LaurentPoly]:
         """Matrix-vector product on a length-2 column."""
         v1, v2 = vector
-        v1, v2 = as_poly(v1), as_poly(v2)
         return (self.e11 * v1 + self.e12 * v2, self.e21 * v1 + self.e22 * v2)
 
     def map(self, fn) -> "PolyMatrix2":

@@ -208,7 +208,7 @@ def _cmd_pfaffian(args: argparse.Namespace) -> int:
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
     state = _parse_state(args.state)
-    t = _parse_timepoint(args.t)
+    t = TimePoint(0.0, 0.0) if args.t is None else _parse_timepoint(args.t)
     cfg = _config_from_args(args)
     deformed = _parse_bool(args.deformed)
     from .verify import spectral_curve_coefficients
@@ -216,12 +216,15 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     # Computed before anything is printed, so a numeric failure leaves no
     # partial output behind.
     samples = eigenvalue_samples(deformed, state, t, cfg.alpha, cfg.lambdas)
+    if args.t is not None and not deformed:
+        print("note: --t is ignored: the autonomous curve does not depend on t", file=sys.stderr)
     print(f"det L(lambda) coefficients ({'deformed' if deformed else 'autonomous'}):")
     for power, coefficient in spectral_curve_coefficients(deformed).items():
         print(f"  lambda^{power}: {coefficient}")
+    at_t = f"t = ({t.t1:g}, {t.t2:g}), " if deformed else ""
     print(
         f"eigenvalues at state = ({state.x1:g}, {state.x2:g}, {state.p1:g}, {state.p2:g}), "
-        f"t = ({t.t1:g}, {t.t2:g}), alpha = {cfg.alpha:g}:"
+        f"{at_t}alpha = {cfg.alpha:g}:"
     )
     for lam, (plus, minus) in zip(cfg.lambdas, samples):
         print(
@@ -265,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("spectral", help="spectral curve and eigenvalue samples")
     sub.add_argument("--state", required=True)
-    sub.add_argument("--t", default="0,0")
+    sub.add_argument("--t", help="time point t1,t2 of a deformed curve (default 0,0)")
     sub.add_argument("--alpha", type=float)
     sub.add_argument("--lambdas")
     sub.add_argument("--deformed", default="false")

@@ -164,8 +164,9 @@ def potential(k: int) -> PotentialPair:
 
 @lru_cache(maxsize=None)
 def deformation_coefficients() -> tuple[LaurentPoly, LaurentPoly]:
-    """(c2, c3): the unique coefficient functions compatible with the
-    Frobenius condition for this deformation ansatz.  Built once and shared."""
+    """(c2, c3): coefficient functions compatible with the Frobenius
+    condition for this deformation ansatz, unique up to the shift
+    t -> t + const of the times.  Built once and shared."""
     return (t1 + 3 * t2**2, 3 * t2)
 
 

@@ -39,6 +39,11 @@ class TestAddition:
     def test_cancellation(self):
         assert (x1 + 1) + (x1 - 1) == 2 * x1
 
+    def test_scalar_minus_polynomial(self):
+        unit, first = (0,) * 8, (1,) + (0,) * 7
+        assert 1 - x1 == LaurentPoly({unit: 1, first: -1})
+        assert HALF - x1 == LaurentPoly({unit: HALF, first: -1})
+
     def test_hamiltonian_reassembles_from_parts(self):
         alpha_part = alpha / x2**2
         rest = HALF * p1**2 + HALF * p2**2 + x1**3 + HALF * x1 * x2**2
@@ -125,6 +130,20 @@ class TestMatrixOps:
         m = PolyMatrix2(x1, 1, QUARTER * x2**2, 0)
         out = m.apply((LaurentPoly.zero(), LaurentPoly.one()))
         assert out == (LaurentPoly.one(), LaurentPoly.zero())
+        # Scalar entries of the vector are coerced by the ring operations.
+        assert m.apply((0, 1)) == out
+        assert m.apply((HALF, x2)) == (HALF * x1 + x2, x2**2 / 8)
+
+    def test_equal_matrices_hash_equal_and_key_dicts(self):
+        m = PolyMatrix2(x1, 1, QUARTER * x2**2, 0)
+        twin = PolyMatrix2(x1, LaurentPoly.one(), x2**2 / 4, LaurentPoly.zero())
+        assert twin is not m and hash(twin) == hash(m)
+        assert {m: "step"}[twin] == "step"
+        assert len({m, twin, PolyMatrix2.identity()}) == 2
+
+    def test_repr_wraps_the_rendering(self):
+        m = PolyMatrix2(x1, 1, QUARTER * x2**2, 0)
+        assert repr(m) == f"PolyMatrix2({m})" == "PolyMatrix2([[x1, 1], [1/4*x2^2, 0]])"
 
     def test_read_only_matrix_copies_and_pickles(self):
         m = PolyMatrix2(x1, 1, QUARTER * x2**2, lam**-1)
@@ -166,8 +185,13 @@ class TestExactSubstitution:
         f = alpha * x2**-2
         assert f.substitute_rational(VarId.X2, 2) == QUARTER * alpha
         assert (alpha / x2).substitute_rational(VarId.X2, -2) == -HALF * alpha
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(DivisionByZero, match=r"^x2 = 0 but appears with exponent -2$"):
             f.substitute_rational(VarId.X2, 0)
+
+    def test_substitute_rational_absent_variable_returns_the_polynomial(self):
+        f = t1 * x1 + 3 * t2**2
+        assert f.substitute_rational(VarId.ALPHA, Rational(1, 3)) is f
+        assert LaurentPoly.zero().substitute_rational(VarId.X2, 0).is_zero
 
     def test_substitute_alpha_zero_drops_singular_terms(self):
         h1 = hamiltonians(False).h1
@@ -204,6 +228,7 @@ class TestScalarRule:
             lambda: x1 + True,
             lambda: True + x1,
             lambda: x1 - True,
+            lambda: True - x1,
             lambda: x1 / True,
             lambda: x1**True,
             lambda: x1 ** Rational(1, 2),
@@ -212,6 +237,8 @@ class TestScalarRule:
             lambda: LaurentPoly.constant(True),
             lambda: LaurentPoly({(0,) * 8: VarId.X2}),
             lambda: x1.substitute_rational(VarId.X1, True),
+            lambda: x1.substitute_rational(VarId.X2, True),
+            lambda: PolyMatrix2.identity().apply((True, x1)),
             lambda: LaurentPoly({(0.5,) + (0,) * 7: 1}),
             lambda: LaurentPoly({(1.0,) + (0,) * 7: 1}),
             lambda: LaurentPoly({(True,) + (0,) * 7: 1}),
@@ -220,8 +247,9 @@ class TestScalarRule:
             lambda: LaurentPoly({(0.5,) + (0,) * 7: 0}),
         ],
         ids=[
-            "x1*VarId", "VarId*x1", "x1+True", "True+x1", "x1-True", "x1/True", "x1**True",
-            "x1**(1/2)", "matrix_entry", "matrix*True", "constant", "term", "substitute",
+            "x1*VarId", "VarId*x1", "x1+True", "True+x1", "x1-True", "True-x1", "x1/True",
+            "x1**True", "x1**(1/2)", "matrix_entry", "matrix*True", "constant", "term",
+            "substitute", "substitute_absent", "apply_vector",
             "exponent_half", "exponent_float", "exponent_bool", "exponent_fraction",
             "exponent_VarId", "exponent_of_zero_term",
         ],

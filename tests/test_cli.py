@@ -517,6 +517,28 @@ class TestSpectralCommand:
         code, _, err = run_cli("spectral", "--state", "a,b,c,d", capsys=capsys)
         assert code == 2
 
+    def test_autonomous_curve_notes_an_ignored_t(self, capsys):
+        code, plain, quiet = run_cli("spectral", "--state", "1,1,0,0", capsys=capsys)
+        assert (code, quiet) == (0, "")
+        code, out, err = run_cli("spectral", "--state", "1,1,0,0", "--t", "5,7", capsys=capsys)
+        assert code == 0
+        assert out == plain
+        assert "eigenvalues at state = (1, 1, 0, 0), alpha = 0:" in out.splitlines()
+        assert err == "note: --t is ignored: the autonomous curve does not depend on t\n"
+        # A given --t is still parsed.
+        code, out, err = run_cli("spectral", "--state", "1,1,0,0", "--t", "5,x", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed time point")
+
+    def test_deformed_curve_starts_at_the_origin(self, capsys):
+        code, default, _ = run_cli("spectral", "--state", "1,1,0,0", "--deformed", "true", capsys=capsys)
+        assert code == 0
+        assert "eigenvalues at state = (1, 1, 0, 0), t = (0, 0), alpha = 0:" in default.splitlines()
+        code, out, err = run_cli(
+            "spectral", "--state", "1,1,0,0", "--deformed", "true", "--t", "0,0", capsys=capsys
+        )
+        assert (code, out, err) == (0, default, "")
+
 
 class TestUsage:
     def test_no_command(self):

@@ -92,6 +92,31 @@ class TestFrobenius:
         )
 
 
+class TestDeformationCoefficients:
+    """c2 = t1 + 3 t2^2 and c3 = 3 t2 are unique up to t -> t + const."""
+
+    def test_formula_reproduces_the_deformed_pair(self):
+        plain, deformed = hamiltonians(False), hamiltonians(True)
+        rebuilt = _with_potential_deformation(plain.h1, plain.h2, 3 * t2, t1 + 3 * t2**2)
+        assert (rebuilt.h1, rebuilt.h2) == (deformed.h1, deformed.h2)
+
+    def test_shifted_times_pass_both_checks(self):
+        # c2 and c3 at t1 -> t1 + 4, t2 -> t2 + 1
+        c2, c3 = 7 + t1 + 6 * t2 + 3 * t2**2, 3 + 3 * t2
+        plain = hamiltonians(False)
+        shifted = _with_potential_deformation(plain.h1, plain.h2, c3, c2)
+        assert check_frobenius(shifted).residual == -c2
+        assert check_zero_curvature(shifted).passed
+
+    def test_other_c2_fails_with_phase_dependence(self):
+        c2, c3 = 7 + t1 + 6 * t2 + 3 * t2**2 + t2, 3 + 3 * t2
+        plain = hamiltonians(False)
+        corrupted = _with_potential_deformation(plain.h1, plain.h2, c3, c2)
+        residual = check_frobenius(corrupted).residual
+        assert any(residual.depends_on(var) for var in (VarId.X1, VarId.X2, VarId.P1, VarId.P2))
+        assert not check_zero_curvature(corrupted).passed
+
+
 class TestZeroCurvature:
     def test_passes_on_model(self):
         report = check_zero_curvature()
