@@ -30,7 +30,6 @@ wrapping into another monomial.
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import IntEnum
 from fractions import Fraction
@@ -159,27 +158,15 @@ class LaurentPoly:
     __slots__ = ("_terms", "_den", "_bound", "_diffs")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        ratios: list[tuple[int, int, int]] = []
-        bound = 0
-        if terms:
-            for mono, value in terms.items():
-                packed, top = _pack(tuple(mono))
-                bound = max(bound, top)
-                num, den = _ratio(value)
-                if num:
-                    ratios.append((packed, num, den))
-        den = functools.reduce(math.lcm, (d for _, _, d in ratios), 1)
-        sums: dict[int, int] = {}
-        for mono, num, d in ratios:
-            total = sums.get(mono, 0) + num * (den // d)
-            if total:
-                sums[mono] = total
-            else:
-                del sums[mono]
-        normal = _normal(sums, den, bound)
-        self._terms = normal._terms
-        self._den = normal._den
-        self._bound = bound
+        # A sum of single-term polynomials, each canonical as a Fraction is.
+        total, bound = LaurentPoly.zero(), 0
+        for mono, value in (terms or {}).items():
+            packed, top = _pack(tuple(mono))
+            bound = max(bound, top)
+            num, den = _ratio(value)
+            if num:
+                total = total + _raw({packed: num}, den, top)
+        self._terms, self._den, self._bound = total._terms, total._den, bound
         self._diffs: dict[VarId, LaurentPoly] | None = None
 
     # -- constructors -------------------------------------------------
@@ -237,9 +224,7 @@ class LaurentPoly:
 
     def degree_range(self, var: VarId) -> tuple[int, int]:
         """(min, max) exponent of `var`; (0, 0) for polynomials free of it."""
-        exps = [n for n in self._powers(var) if n]
-        if not exps:
-            return (0, 0)
+        exps = self._powers(var) or [0]
         return (min(exps), max(exps))
 
     def coefficients_in(self, var: VarId) -> dict[int, "LaurentPoly"]:
@@ -276,10 +261,8 @@ class LaurentPoly:
         return self._combine(other, -1)
 
     def __rsub__(self, other) -> "LaurentPoly":
-        other = as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other._combine(self, -1)
+        # Not `-self + other`: a refused operand must be reported for `-`.
+        return (-self).__add__(other)
 
     def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         # self + sign * other, for sign 1 or -1, over the LCM of the two
@@ -378,12 +361,9 @@ class LaurentPoly:
         # Exact division by a scalar or by a single-term polynomial; the
         # Laurent ring makes the latter total (exponents may go negative).
         if _is_scalar(other):
-            num, den = _ratio(other)
-            if not num:
+            if not other:
                 raise ZeroDivisionError("division of polynomial by zero")
-            if num < 0:
-                num, den = -num, -den
-            return self._shifted(_UNIT_MONOMIAL, den, num, self._bound)
+            return self * (1 / Fraction(other))
         if isinstance(other, LaurentPoly):
             return self * other.inverse_term()
         return NotImplemented

@@ -43,6 +43,21 @@ class TestAddition:
         unit, first = (0,) * 8, (1,) + (0,) * 7
         assert 1 - x1 == LaurentPoly({unit: 1, first: -1})
         assert HALF - x1 == LaurentPoly({unit: HALF, first: -1})
+        assert 0 - x1 == -x1
+        assert HALF - x1 / 2 == (1 - x1) / 2
+
+    def test_refused_scalar_minus_polynomial_names_the_minus(self):
+        for left in (True, 1.5, "a"):
+            with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -:"):
+                left - x1
+
+    def test_constructor_is_the_sum_of_its_terms(self):
+        unit, first, second = (0,) * 8, (1,) + (0,) * 7, (0, 1) + (0,) * 6
+        inverse_square = (0, -2) + (0,) * 6
+        built = LaurentPoly({first: HALF, second: Rational(-1, 3), unit: 0, inverse_square: Rational(5, 6)})
+        assert built == HALF * x1 - Rational(1, 3) * x2 + Rational(5, 6) * x2**-2
+        assert LaurentPoly({unit: Rational(-6, 4)}) == Rational(-3, 2)
+        assert LaurentPoly({first: 0, second: 0}).is_zero
 
     def test_hamiltonian_reassembles_from_parts(self):
         alpha_part = alpha / x2**2
@@ -199,10 +214,28 @@ class TestExactSubstitution:
         assert reduced.degree_range(VarId.X2)[0] >= 0
 
 
+def test_degree_range_counts_exponent_zero():
+    # A term free of the variable has exponent 0 in it.
+    assert (1 + x1).degree_range(VarId.X1) == (0, 1)
+    assert (x1**-1 + 1).degree_range(VarId.X1) == (-1, 0)
+    assert (x1 * x2 + x2).degree_range(VarId.X1) == (0, 1)
+    assert (x1**-2 + x1**3).degree_range(VarId.X1) == (-2, 3)
+    assert (x2 + 3).degree_range(VarId.X1) == (0, 0)
+    assert LaurentPoly.zero().degree_range(VarId.X1) == (0, 0)
+
+
 class TestDivision:
     def test_scalar_division(self):
         assert (x1 * 2) / 2 == x1
         assert x1 / Rational(1, 2) == 2 * x1
+        assert (x1 + x2) / Rational(-3, 4) == Rational(-4, 3) * x1 + Rational(-4, 3) * x2
+        assert list((x1 / -3).items()) == [((1,) + (0,) * 7, Rational(-1, 3))]
+        assert LaurentPoly.zero() / 7 == 0
+
+    def test_division_by_zero_scalar(self):
+        for zero in (0, Rational(0)):
+            with pytest.raises(ZeroDivisionError, match=r"^division of polynomial by zero$"):
+                x1 / zero
 
     def test_single_term_division(self):
         assert (x1 * x2**2) / x2**2 == x1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhlax import model
-from hhlax.algebra import LaurentPoly, N_VARS, Rational, VarId, poisson_bracket
+from hhlax.algebra import DivisionByZero, LaurentPoly, N_VARS, Rational, VarId, poisson_bracket
 from hhlax.model import (
     VectorField4,
     deformation_coefficients,
@@ -100,6 +100,18 @@ class TestPotentialRecursion:
         # way peaked at 130 MB.
         code = "from hhlax.model import potential\npotential(600)\npotential(-600)"
         assert child_peak_rss_kb(code) < 20 * 1024  # kB
+
+    def test_every_rung_is_in_involution(self):
+        # (g1 + V1(k), g2 + V2(k)) commute for every rung, with and without
+        # the alpha terms of the model pair.
+        g1 = HALF * (p1**2 + p2**2)
+        g2 = HALF * (x2 * p1 * p2 - x1 * p2**2)
+        for k in range(-64, 65):
+            pair = potential(k)
+            for a in (0, 1):
+                h1 = g1 + pair.v1 + a * alpha / x2**2
+                h2 = g2 + pair.v2 - a * alpha * x1 / x2**2
+                assert poisson_bracket(h1, h2).is_zero, (k, a)
 
     def test_inverse_matrix_is_exact(self):
         product = recursion_matrix() @ recursion_matrix_inverse()
@@ -288,6 +300,76 @@ def _model_object_lines():
 def test_model_objects_golden(golden_dir):
     # Every Hamiltonian, Lax entry, det L and field component, as rendered.
     assert "".join(_model_object_lines()) == (golden_dir / "model_objects.txt").read_text()
+
+
+def _along(field: VectorField4, time: VarId, f: LaurentPoly) -> LaurentPoly:
+    """Total derivative of f along `field`, with the explicit time derivative."""
+    return derivative_along(f, field) + f.diff(time)
+
+
+class TestKdVFlow:
+    """Along Y_1, u = x1 is a stationary flow of the fifth-order KdV
+    equation; for the deformed pair u = x1 + t2 solves its deformation.
+    K5, K3 and both identities are written out here by hand."""
+
+    @staticmethod
+    def _operators(h1: LaurentPoly, u: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+        # (K5[u], K3[u]) with ' the total t1-derivative along the field of h1.
+        field = hamiltonian_vector_field(h1)
+        d1 = _along(field, VarId.T1, u)
+        d2 = _along(field, VarId.T1, d1)
+        d3 = _along(field, VarId.T1, d2)
+        d4 = _along(field, VarId.T1, d3)
+        return d4 + 10 * u * d2 + 5 * d1**2 + 10 * u**3, d2 + 3 * u**2
+
+    def test_autonomous_stationary_kdv5(self):
+        h1 = hamiltonians(False).h1
+        k5, _ = self._operators(h1, x1)
+        assert (k5 + 2 * h1).is_zero
+
+    def test_deformed_stationary_kdv5(self):
+        h1 = hamiltonians(True).h1
+        u = x1 + t2
+        k5, k3 = self._operators(h1, u)
+        residual = k5 + 2 * t2 * k3 + 2 * t1 * u + 2 * h1 + 4 * t1 * t2 + 2 * t2**3
+        assert residual.is_zero
+
+    def test_wrong_cubic_coefficient_is_caught(self):
+        h1 = hamiltonians(False).h1 + x1**3 / 10
+        k5, _ = self._operators(h1, x1)
+        assert not (k5 + 2 * h1).is_zero
+
+
+class TestPainleveReduction:
+    """At alpha = 0 the plane x2 = p2 = 0 is invariant under both deformed
+    flows, and on it y = x1 + t2 solves y'' = -3y^2 - t1 (Painleve I)."""
+
+    @staticmethod
+    def _on_plane(field: VectorField4) -> VectorField4:
+        # alpha first: the alpha terms carry x2 to negative powers.
+        return VectorField4(
+            tuple(
+                component.substitute_rational(VarId.ALPHA, 0)
+                .substitute_rational(VarId.X2, 0)
+                .substitute_rational(VarId.P2, 0)
+                for component in field.components
+            )
+        )
+
+    def test_alpha_terms_are_singular_on_the_plane(self):
+        field = hamiltonian_vector_field(hamiltonians(True).h1)
+        with pytest.raises(DivisionByZero):
+            field.components[3].substitute_rational(VarId.X2, 0)
+
+    def test_reduced_flows_are_painleve_i(self):
+        hams = hamiltonians(True)
+        y1 = self._on_plane(hamiltonian_vector_field(hams.h1))
+        y2 = self._on_plane(hamiltonian_vector_field(hams.h2))
+        y = x1 + t2
+        assert y1.components == (p1, 0, -t1 - 3 * y**2, 0)
+        assert y2.components == (-1, 0, 0, 0)
+        assert _along(y2, VarId.T2, y).is_zero
+        assert _along(y1, VarId.T1, _along(y1, VarId.T1, y)) == -3 * y**2 - t1
 
 
 class TestLieBracket:
