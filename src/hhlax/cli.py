@@ -100,6 +100,8 @@ def _config_from_args(args: argparse.Namespace) -> IntegratorConfig:
 
 def _export(trajectory: Trajectory, args: argparse.Namespace) -> None:
     targets = [args.out, args.svg] if args.svg else [args.out]
+    if args.svg and os.path.realpath(args.out) == os.path.realpath(args.svg):
+        raise ValueError(f"--out and --svg name the same file {args.out!r}")
     # Opening for appending truncates nothing, so a target that cannot be
     # opened ends the run before any is written; a file made here is removed.
     made = [path for path in targets if not os.path.lexists(path)]
@@ -166,10 +168,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_potential(args: argparse.Namespace) -> int:
-    if abs(args.k) > 64:
-        raise ValueError(f"k = {args.k} out of range (|k| <= 64)")
-    from .model import potential
+    from .model import _MEMO_LIMIT, potential
 
+    if abs(args.k) > _MEMO_LIMIT:
+        raise ValueError(f"k = {args.k} out of range (|k| <= {_MEMO_LIMIT})")
     pair = potential(args.k)
     print(f"v1 = {pair.v1}")
     print(f"v2 = {pair.v2}")

@@ -50,6 +50,7 @@ from .model import (
     hamiltonians,
     isomonodromy_deformation_term,
     lax_matrices,
+    spectral_curve,
 )
 
 __all__ = [
@@ -339,13 +340,20 @@ def _flows(deformed: bool, alpha: float) -> tuple[Flow, Flow, Segment]:
         return compile_flows(*(_fold(alpha, hamiltonian_vector_field(h).components) for h in (hams.h1, hams.h2)))
 
 
+def _flow_index(k: int) -> int:
+    """k - 1, the place of flow k in `_flows(...)`; k must be 1 or 2."""
+    if k not in (1, 2):
+        raise ValueError("flow index must be 1 or 2")
+    return k - 1
+
+
 @lru_cache(maxsize=64)
 def _diagnostics(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> Diagnostics:
     """The generated diagnostics row of one model, alpha and set of lambda
     samples (floats), with alpha folded in."""
     hams = hamiltonians(deformed)
     with _float_range(alpha):
-        return compile_diagnostics(*_fold(alpha, (hams.h1, hams.h2, lax_matrices(deformed).L.det())), lambdas)
+        return compile_diagnostics(*_fold(alpha, (hams.h1, hams.h2, spectral_curve(deformed))), lambdas)
 
 
 def _initial_state(state: PhaseState) -> State4:
@@ -364,9 +372,8 @@ def flow_rhs(
     Generated from the symbolic Hamiltonian vector field, so it agrees with
     the model layer by construction.
     """
-    if k not in (1, 2):
-        raise ValueError("flow index must be 1 or 2")
-    flow = _flows(deformed, float(IntegratorConfig(alpha=alpha).alpha))[k - 1]
+    index = _flow_index(k)
+    flow = _flows(deformed, float(IntegratorConfig(alpha=alpha).alpha))[index]
     return flow(0.0, *_initial_state(state), *_initial_time(t))
 
 
@@ -412,13 +419,12 @@ def integrate_autonomous(
     accepted step; for the autonomous system all of them are conserved.
     """
     cfg = cfg or IntegratorConfig()
-    if k not in (1, 2):
-        raise ValueError("flow index must be 1 or 2")
+    index = _flow_index(k)
     y0, duration = _initial_state(state0), _checked_duration(duration)
     _check_step_budget(duration, cfg.max_step)
-    flow1, flow2, _ = _flows(False, float(cfg.alpha))
+    flow = _flows(False, float(cfg.alpha))[index]
     diag = _diagnostics(False, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
-    steps = _integrate_ode(flow1 if k == 1 else flow2, duration, y0, cfg)
+    steps = _integrate_ode(flow, duration, y0, cfg)
     return Trajectory([diag(s, s if k == 1 else 0.0, s if k == 2 else 0.0, y) for s, y in steps], cfg.lambdas)
 
 

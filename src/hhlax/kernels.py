@@ -389,7 +389,8 @@ def dp45(rhs, s_end, y0, abs_tol, rel_tol, max_step):
     # each first weight (A21 ... A61, B1, E1) is positive, so
     # 0.0 + c*a == c*a, except where c*a underflows to -0.0 (a < 0 with
     # |a| < 2.1e-321); that sign shows only in a zero sum added to a -0.0.
-    # A step shorter than 1e-14 of the span (or of 1) aborts the run.
+    # A step shorter than 1e-14 of the span (or of 1) aborts the run unless
+    # it ends the span: only a span shorter than that floor is one such step.
     h_min = 1e-14 * (s_end if s_end > 1.0 else 1.0)
     s = 0.0
     {y} = y0
@@ -403,7 +404,7 @@ def dp45(rhs, s_end, y0, abs_tol, rel_tol, max_step):
         is_last = s_end - s - h < h_min
         if is_last:
             h = s_end - s
-        if h < h_min:
+        if h < h_min and not is_last:
             raise StepSizeUnderflow(f"step {{h!r}} below minimum near s = {{s!r}}")
 {stages}
         {n} = {_update("h", _DP45_B5)}

@@ -3,7 +3,7 @@
 Builds, exactly over the Laurent ring: the hierarchy of separable potentials
 (three-point recursion in matrix form), the autonomous Hamiltonian pair and
 its non-autonomous deformation, Hamiltonian vector fields, and the matrices
-of the isospectral / isomonodromic Lax representations.
+of the isospectral / isomonodromic Lax representations with their det L.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import LaurentPoly, PolyMatrix2, Rational, VarId
+from .algebra import LaurentPoly, PolyMatrix2, Rational, VarId, poisson_bracket
 
 __all__ = [
     "PotentialPair",
@@ -26,6 +26,7 @@ __all__ = [
     "hamiltonians",
     "hamiltonian_vector_field",
     "lax_matrices",
+    "spectral_curve",
     "isomonodromy_deformation_term",
     "derivative_along",
     "lie_bracket",
@@ -191,16 +192,10 @@ def hamiltonians(deformed: bool = False) -> HamiltonianSet:
 
 @lru_cache(maxsize=64)
 def hamiltonian_vector_field(hamiltonian: LaurentPoly) -> VectorField4:
-    """(dH/dp1, dH/dp2, -dH/dx1, -dH/dx2), built once for each of the last 64
+    """Y_H, whose component along coordinate v is {v, H}: the flow of H
+    moves every function f as {f, H}.  Built once for each of the last 64
     Hamiltonians, so its negated components keep their derivative memo."""
-    return VectorField4(
-        (
-            hamiltonian.diff(VarId.P1),
-            hamiltonian.diff(VarId.P2),
-            -hamiltonian.diff(VarId.X1),
-            -hamiltonian.diff(VarId.X2),
-        )
-    )
+    return VectorField4(tuple(poisson_bracket(v, hamiltonian) for v in (x1, x2, p1, p2)))
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +226,17 @@ def lax_matrices(deformed: bool = False) -> LaxTriple:
         -_HALF * p1,
     )
     return LaxTriple(big_l, u1, u2, deformed)
+
+
+def spectral_curve(deformed: bool = False) -> LaurentPoly:
+    """det L(lambda): the spectral invariant of the traceless Lax matrix.
+
+    In the autonomous case this expands to
+    2 lambda^5 - 2 h1 lambda^2 - 2 h2 lambda + alpha/2, so every
+    lambda-coefficient Poisson-commutes with both Hamiltonians.  The
+    eigenvalue pair of L is +-sqrt(-det L).
+    """
+    return lax_matrices(deformed).L.det()
 
 
 def isomonodromy_deformation_term(u_matrix: PolyMatrix2) -> PolyMatrix2:

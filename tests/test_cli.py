@@ -361,6 +361,20 @@ def test_unwritable_output_exits_2(flag, tmp_path, capsys):
         assert (other.read_text() if other.exists() else None) == existing
 
 
+@pytest.mark.parametrize("svg", ["same.x", "./same.x", "link.x"])
+def test_out_and_svg_naming_one_file_exits_2(svg, tmp_path, monkeypatch, capsys):
+    # The SVG would overwrite the trajectory, so the pair is refused before
+    # any file is opened: nothing is created and nothing is printed.
+    monkeypatch.chdir(tmp_path)
+    os.symlink("same.x", "link.x")
+    code, out, err = run_cli(
+        "simulate", "--flow", "t1", "--duration", "0.02", "--out", "same.x", "--svg", svg, capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --out and --svg name the same file 'same.x'\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.x"] and not os.path.exists("same.x")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -126,6 +126,14 @@ class TestAutonomousIntegration:
         with pytest.raises(ValueError):
             integrate_autonomous(3, REFERENCE, 1.0)
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_flow_index_is_refused_first(self, k):
+        # The index is checked before the duration is, by both entry points.
+        with pytest.raises(ValueError, match="flow index must be 1 or 2"):
+            integrate_autonomous(k, REFERENCE, -1.0)
+        with pytest.raises(ValueError, match="flow index must be 1 or 2"):
+            flow_rhs(False, k, REFERENCE, ORIGIN, 0.0)
+
     def test_rk4_fixed_matches_adaptive(self):
         cfg = IntegratorConfig(method="rk4-fixed", max_step=0.005)
         reference = integrate_autonomous(1, REFERENCE, 1.0)
@@ -145,6 +153,19 @@ class TestAutonomousIntegration:
 
         ratio = endpoint_error(0.02) / endpoint_error(0.01)
         assert 12.0 <= ratio <= 20.0
+
+
+@pytest.mark.parametrize("span", [1e-15, 5e-324])
+@pytest.mark.parametrize("kind", ["autonomous", "segment"])
+def test_span_below_the_step_floor_is_one_step(span, kind):
+    # Shorter than DP45's minimum step 1e-14, so the one step that covers
+    # the span is taken whole rather than refused as too small.
+    if kind == "autonomous":
+        trajectory = integrate_autonomous(1, REFERENCE, span)
+    else:
+        trajectory = integrate_pfaffian(REFERENCE, ORIGIN, Path.from_pairs([(0, 0), (span, 0)]))
+    assert [sample.s for sample in trajectory.samples] == [0.0, span]
+    assert trajectory.samples[-1].t == TimePoint(span, 0.0)
 
 
 class TestPfaffianIntegration:

@@ -428,3 +428,17 @@ def test_lie_bracket_jacobi(a, b, c):
 def test_derivative_along_hamiltonian_field_is_poisson_bracket(f, h):
     # d/dt f along the flow of h is {f, h}, computed independently.
     assert derivative_along(f, hamiltonian_vector_field(h)) == poisson_bracket(f, h)
+
+
+# Laurent polynomials in every variable: t and alpha terms included.
+_any_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=-2, max_value=2)] * N_VARS), _coefficients, max_size=4
+).map(LaurentPoly)
+
+
+@settings(max_examples=40)
+@given(_any_polys)
+def test_hamiltonian_field_is_the_symplectic_gradient(h):
+    # The field written out by hand, without the Poisson bracket.
+    expected = (h.diff(VarId.P1), h.diff(VarId.P2), -h.diff(VarId.X1), -h.diff(VarId.X2))
+    assert hamiltonian_vector_field(h).components == expected
