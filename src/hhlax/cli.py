@@ -10,6 +10,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 bad input (a `ValueError`,
 raised where the value is made, or an output file that cannot be written),
 3 numeric failure (singular state, step-size underflow or non-finite state).
+`simulate` and `pfaffian` claim their output files before they integrate; a
+run that fails or is interrupted removes the files it created.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import argparse
 import os
 import sys
 from dataclasses import fields
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .dynamics import (
     METHODS,
@@ -98,32 +101,39 @@ def _config_from_args(args: argparse.Namespace) -> IntegratorConfig:
     return IntegratorConfig(**given)
 
 
-def _export(trajectory: Trajectory, args: argparse.Namespace) -> None:
+def _export(args: argparse.Namespace, run: Callable[[], Trajectory]) -> None:
+    """Claim the output files, integrate with `run()`, then write them.
+
+    Opening for appending truncates nothing, so a target that cannot be
+    opened, or an --out and --svg that name one file, ends the command
+    before the integration.  If anything fails or is interrupted once the
+    claim has begun, the files made here are removed; a file that was
+    already there is written only after the run has succeeded."""
     targets = [args.out, args.svg] if args.svg else [args.out]
-    if args.svg and os.path.realpath(args.out) == os.path.realpath(args.svg):
-        raise ValueError(f"--out and --svg name the same file {args.out!r}")
-    # Opening for appending truncates nothing, so a target that cannot be
-    # opened ends the run before any is written; a file made here is removed.
-    made = [path for path in targets if not os.path.lexists(path)]
+    made = [path for path in targets if not os.path.exists(path)]
     try:
         for path in targets:
             open(path, "a").close()
-    except OSError:
-        for path in filter(os.path.lexists, made):
-            os.remove(path)
+        # Both targets exist now, so links and other spellings compare too.
+        if args.svg and os.path.samefile(args.out, args.svg):
+            raise ValueError(f"--out and --svg name the same file {args.out!r}")
+        trajectory = run()
+        with open(args.out, "w", newline="") as stream:
+            if args.format == "csv":
+                trajectory.write_csv(stream)
+                summary = trajectory.summary()
+            else:
+                summary = trajectory.write_json(stream)["summary"]
+        if args.svg:
+            _write_svg(trajectory, args.svg)
+    except BaseException:
+        # A dangling symlink stays; the file the claim made through it goes.
+        for path in filter(os.path.exists, made):
+            os.remove(os.path.realpath(path))
         raise
-    with open(args.out, "w", newline="") as stream:
-        if args.format == "csv":
-            trajectory.write_csv(stream)
-            summary = trajectory.summary()
-        else:
-            summary = trajectory.write_json(stream)["summary"]
-    if args.svg:
-        _write_svg(trajectory, args.svg)
     print(f"samples = {summary['samples']}")
-    print(f"h1 drift = {summary['h1_drift']:.6e}")
-    print(f"h2 drift = {summary['h2_drift']:.6e}")
-    print(f"eigenvalue drift = {summary['eigenvalue_drift']:.6e}")
+    for name in ("h1", "h2", "eigenvalue"):
+        print(f"{name} drift = {summary[name + '_drift']:.6e}")
     for path in targets:
         print(f"wrote {path}")
 
@@ -188,13 +198,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     k = 1 if args.flow == "t1" else 2
     duration = _checked_duration(args.duration)
     if not deformed:
-        trajectory = integrate_autonomous(k, state0, duration, cfg)
+        run = partial(integrate_autonomous, k, state0, duration, cfg)
     elif duration == 0:
-        trajectory = snapshot(True, state0, t0, cfg)
+        run = partial(snapshot, True, state0, t0, cfg)
     else:
         end = TimePoint(t0.t1 + (duration if k == 1 else 0.0), t0.t2 + (duration if k == 2 else 0.0))
-        trajectory = integrate_pfaffian(state0, t0, Path((t0, end)), cfg, deformed=True)
-    _export(trajectory, args)
+        if end == t0:
+            raise ValueError(f"--duration {duration!r} does not move --t0 {args.t0}: t0 + duration rounds to t0")
+        run = partial(integrate_pfaffian, state0, t0, Path((t0, end)), cfg, deformed=True)
+    _export(args, run)
     return 0
 
 
@@ -203,8 +215,7 @@ def _cmd_pfaffian(args: argparse.Namespace) -> int:
     path = _parse_waypoints(args.waypoints)
     cfg = _config_from_args(args)
     deformed = _parse_bool(args.deformed)
-    trajectory = integrate_pfaffian(state0, path.waypoints[0], path, cfg, deformed=deformed)
-    _export(trajectory, args)
+    _export(args, partial(integrate_pfaffian, state0, path.waypoints[0], path, cfg, deformed=deformed))
     return 0
 
 

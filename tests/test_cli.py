@@ -265,6 +265,16 @@ class TestSimulateCommand:
 SIMULATE = ["simulate", "--flow", "t1", "--state", "1,1,0,0", "--duration", "1"]
 
 
+@pytest.fixture
+def no_integration(monkeypatch):
+    """Fail the test if any integration starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(dynamics, "_integrate_ode", refuse)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -303,11 +313,7 @@ SIMULATE = ["simulate", "--flow", "t1", "--state", "1,1,0,0", "--duration", "1"]
         SIMULATE + ["--t0", "5,7"],
     ],
 )
-def test_bad_number_exits_2(argv, tmp_path, capsys, monkeypatch):
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integration started")
-
-    monkeypatch.setattr(dynamics, "_integrate_ode", no_integration)
+def test_bad_number_exits_2(argv, tmp_path, capsys, no_integration):
     if argv[0] != "spectral":
         argv = argv + ["--out", str(tmp_path / "out.csv")]
     code, out, err = run_cli(*argv, capsys=capsys)
@@ -342,10 +348,10 @@ def test_numeric_failure_exits_3(argv, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--out", "--svg"])
-def test_unwritable_output_exits_2(flag, tmp_path, capsys):
+def test_unwritable_output_exits_2(flag, tmp_path, capsys, no_integration):
     # An output file that cannot be opened is bad input, not a failed check.
-    # It is refused before either file is written: the other one is neither
-    # created nor truncated, and nothing is printed.
+    # It is refused before the run and before either file is written: the
+    # other one is neither created nor truncated, and nothing is printed.
     paths = {"--out": tmp_path / "run.csv", "--svg": tmp_path / "run.svg"}
     paths[flag] = tmp_path / "missing" / "run"
     other = paths["--svg" if flag == "--out" else "--out"]
@@ -361,18 +367,65 @@ def test_unwritable_output_exits_2(flag, tmp_path, capsys):
         assert (other.read_text() if other.exists() else None) == existing
 
 
-@pytest.mark.parametrize("svg", ["same.x", "./same.x", "link.x"])
-def test_out_and_svg_naming_one_file_exits_2(svg, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("svg", ["same.x", "./same.x", "link.x", "hard.x"])
+def test_out_and_svg_naming_one_file_exits_2(svg, tmp_path, monkeypatch, capsys, no_integration):
     # The SVG would overwrite the trajectory, so the pair is refused before
-    # any file is opened: nothing is created and nothing is printed.
+    # the run: no file is created or changed and nothing is printed.
     monkeypatch.chdir(tmp_path)
     os.symlink("same.x", "link.x")
+    if svg == "hard.x":
+        pathlib.Path("same.x").write_text("old")
+        os.link("same.x", "hard.x")
+    before = sorted(os.listdir(tmp_path))
     code, out, err = run_cli(
         "simulate", "--flow", "t1", "--duration", "0.02", "--out", "same.x", "--svg", svg, capsys=capsys
     )
     assert (code, out) == (2, "")
     assert err == "error: --out and --svg name the same file 'same.x'\n"
-    assert sorted(os.listdir(tmp_path)) == ["link.x"] and not os.path.exists("same.x")
+    assert sorted(os.listdir(tmp_path)) == before
+    if svg == "hard.x":
+        assert pathlib.Path("same.x").read_text() == "old"
+
+
+@pytest.mark.parametrize("svg_kind", ["new", "dangling link"])
+@pytest.mark.parametrize("failure", ["exit 3", "interrupt"])
+def test_failed_run_removes_only_the_files_it_created(failure, svg_kind, tmp_path, monkeypatch, capsys):
+    # Both files are claimed before the run. A run that fails or is
+    # interrupted leaves a file that was there as it was and removes the
+    # one the claim created, also when it was created through a symlink.
+    out_file, svg_file = tmp_path / "run.csv", tmp_path / "run.svg"
+    out_file.write_bytes(b"old,run\r\n1,2\n")
+    if svg_kind == "dangling link":
+        svg_file.symlink_to("target.svg")
+    before = sorted(os.listdir(tmp_path))
+    argv = ["simulate", "--flow", "t1", "--duration", "1", "--out", str(out_file), "--svg", str(svg_file)]
+    if failure == "exit 3":
+        code, out, err = run_cli(*argv, "--state", "1,0.5,0,-1", "--alpha", "-0.1", capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("integration aborted: ")
+    else:
+        def interrupted(*args, **kwargs):
+            assert svg_file.exists()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(dynamics, "_integrate_ode", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert out_file.read_bytes() == b"old,run\r\n1,2\n"
+    assert sorted(os.listdir(tmp_path)) == before and not svg_file.exists()
+
+
+@pytest.mark.parametrize("flow, t0", [("t1", "1e17,0"), ("t2", "0,1e17")])
+def test_duration_lost_against_t0_names_both(flow, t0, tmp_path, capsys, no_integration):
+    # 1e17 + 1 == 1e17: the run would not move, and no waypoint was given.
+    out_file = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        "simulate", "--flow", flow, "--deformed", "true", "--t0", t0, "--duration", "1",
+        "--out", str(out_file), capsys=capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --duration 1.0 does not move --t0 {t0}: t0 + duration rounds to t0\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(
