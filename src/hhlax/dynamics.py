@@ -158,7 +158,8 @@ class IntegratorConfig:
     """Integration settings.
 
     `max_step` doubles as the fixed step of the rk4-fixed method.  `lambdas`
-    are the spectral-parameter samples for the eigenvalue diagnostics.
+    are the spectral-parameter samples for the eigenvalue diagnostics, each
+    finite and no two equal.
     """
 
     method: str = "rk45-adaptive"
@@ -176,6 +177,9 @@ class IntegratorConfig:
         for name in ("abs_tol", "rel_tol", "max_step", "alpha"):
             _require_finite(name, getattr(self, name), [getattr(self, name)])
         _require_finite("lambdas", self.lambdas, self.lambdas)
+        # Each sample names its own pair of columns; 0.0 and -0.0 are one.
+        if len(set(self.lambdas)) != len(self.lambdas):
+            raise ValueError(f"lambda samples must be distinct, got {tuple(self.lambdas)!r}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_step <= 0:

@@ -4,6 +4,15 @@ Builds, exactly over the Laurent ring: the hierarchy of separable potentials
 (three-point recursion in matrix form), the autonomous Hamiltonian pair and
 its non-autonomous deformation, Hamiltonian vector fields, and the matrices
 of the isospectral / isomonodromic Lax representations with their det L.
+
+One spectral curve defines each model.  The hand-written data are L's
+diagonal A = p1 lambda + x2 p2/2, its upper entry B = lambda^2 + b1 lambda
++ b2 with b1 = -x1 and b2 = -x2^2/4, and the curve's part free of the
+Hamiltonians, f0 = 2 lambda^5 + 2 c3 lambda^4 + 2 c2 lambda^3 + alpha/2.
+Everything else follows by long division by the monic B in lambda: the
+curve f, the pair (H1, H2) read off its coefficients, L's lower entry
+C = -(f + A^2)/B, the flow matrices U1, U2, and the recursion step, which
+is the companion matrix of B.
 """
 
 from __future__ import annotations
@@ -36,6 +45,11 @@ x1, x2, p1, p2, t1, t2, lam, alpha = LaurentPoly.gens()
 _HALF = Rational(1, 2)
 _QUARTER = Rational(1, 4)
 _TWO_LAM = 2 * lam
+
+# L's diagonal A and the coefficients of its upper entry B = lam^2 + b1 lam
+# + b2, the same in both models: the only hand-written part of L.
+_A = p1 * lam + _HALF * x2 * p2
+_B1, _B2 = -x1, -_QUARTER * x2**2
 
 # Order in which phase-space derivatives are taken throughout.
 PHASE_VARS = (VarId.X1, VarId.X2, VarId.P1, VarId.P2)
@@ -108,12 +122,13 @@ class LaxTriple:
 
 @lru_cache(maxsize=None)
 def recursion_matrix() -> PolyMatrix2:
-    """Step matrix of the separable-potential hierarchy.
+    """Step matrix of the separable-potential hierarchy: the companion
+    matrix [[-b1, 1], [-b2, 0]] of L's upper entry B.
 
     Built once: every call returns the same shared matrix, as `lax_matrices`
     shares its triple; `PolyMatrix2` entries are read-only.
     """
-    return PolyMatrix2(x1, 1, _QUARTER * x2**2, 0)
+    return PolyMatrix2(-_B1, 1, -_B2, 0)
 
 
 @lru_cache(maxsize=None)
@@ -171,23 +186,61 @@ def deformation_coefficients() -> tuple[LaurentPoly, LaurentPoly]:
     return (t1 + 3 * t2**2, 3 * t2)
 
 
-@lru_cache(maxsize=None)
-def hamiltonians(deformed: bool = False) -> HamiltonianSet:
-    """The commuting extended Henon-Heiles pair, optionally deformed.
+def _divide(f: LaurentPoly) -> tuple[LaurentPoly, dict[int, LaurentPoly]]:
+    """(q, {1: r1, 0: r0}) with f = q B + r1 lambda + r0: long division in
+    lambda by the monic B, exact whatever f's other variables."""
+    rest = f.coefficients_in(VarId.LAMBDA)
+    quotient = LaurentPoly.zero()
+    for n in range(max(rest), 1, -1):
+        lead = rest.pop(n, 0)
+        quotient = quotient + lead * lam ** (n - 2)
+        rest[n - 1] = rest.get(n - 1, 0) - lead * _B1
+        rest[n - 2] = rest.get(n - 2, 0) - lead * _B2
+    return quotient, rest
 
-    One formula serves both systems, as in `lax_matrices`: the deformation
-    adds the k = 3 and k = 2 potentials with the coefficients c3 = 3 t2 and
-    c2 = t1 + 3 t2^2 and shifts h2 by the Killing-vector term -p1; for the
-    autonomous pair the coefficients and the Killing term are zero.
+
+def _curve(f0: LaurentPoly) -> LaurentPoly:
+    """The curve f = f0 - 2 H1 lambda^2 + f1 lambda with f + A^2 divisible
+    by B.  f0 + A^2 leaves the remainder r1 lambda + r0 and lambda^2 leaves
+    -b1 lambda - b2, so H1 = -r0/(2 b2) (b2 is a Laurent unit) and
+    f1 = -(r1 + 2 H1 b1)."""
+    _, rest = _divide(f0 + _A**2)
+    h1 = -rest[0] / (2 * _B2)
+    return f0 - 2 * h1 * lam**2 - (rest[1] + 2 * h1 * _B1) * lam
+
+
+@lru_cache(maxsize=None)
+def spectral_curve(deformed: bool = False) -> LaurentPoly:
+    """The spectral curve f(lambda) = det L(lambda), the one definition of
+    each model:
+
+        2 lambda^5 + 2 c3 lambda^4 + 2 c2 lambda^3 - 2 H1 lambda^2
+          - 2 (H2 + kappa) lambda + alpha/2,
+
+    with the deformation coefficients c2 = t1 + 3 t2^2, c3 = 3 t2 and the
+    Killing term kappa = p1 for the deformed model, all zero for the
+    autonomous one.  Only the H-free part is written down; `_curve` derives
+    the rest.  Built once and shared.  Every lambda-coefficient of the
+    autonomous curve Poisson-commutes with both Hamiltonians, and the
+    eigenvalue pair of L is +-sqrt(-f).
     """
     c2, c3 = deformation_coefficients() if deformed else (0, 0)
+    return _curve(2 * lam**5 + 2 * c3 * lam**4 + 2 * c2 * lam**3 + _HALF * alpha)
+
+
+@lru_cache(maxsize=None)
+def hamiltonians(deformed: bool = False) -> HamiltonianSet:
+    """The commuting extended Henon-Heiles pair, optionally deformed, read
+    off the spectral curve: H1 = -[lambda^2]/2 and H2 = -[lambda^1]/2 -
+    kappa, where kappa = p1 is the deformed model's Killing term.
+
+    For the autonomous pair this is g + V(4) with the alpha terms; the
+    deformation adds c3 V(3) + c2 V(2) and shifts h2 by -p1.  Built once
+    and shared.
+    """
+    coefficients = spectral_curve(deformed).coefficients_in(VarId.LAMBDA)
     killing = p1 if deformed else 0
-    geodesic1 = _HALF * p1**2 + _HALF * p2**2
-    geodesic2 = _HALF * x2 * p1 * p2 - _HALF * x1 * p2**2
-    quartic, cubic, quadratic = potential(4), potential(3), potential(2)
-    h1 = geodesic1 + quartic.v1 + alpha / x2**2 + c3 * cubic.v1 + c2 * quadratic.v1
-    h2 = geodesic2 + quartic.v2 - alpha * x1 / x2**2 - killing + c3 * cubic.v2 + c2 * quadratic.v2
-    return HamiltonianSet(h1, h2, deformed)
+    return HamiltonianSet(-_HALF * coefficients[2], -_HALF * coefficients[1] - killing, deformed)
 
 
 @lru_cache(maxsize=64)
@@ -198,45 +251,28 @@ def hamiltonian_vector_field(hamiltonian: LaurentPoly) -> VectorField4:
     return VectorField4(tuple(poisson_bracket(v, hamiltonian) for v in (x1, x2, p1, p2)))
 
 
+def _polynomial_part(entry: LaurentPoly) -> LaurentPoly:
+    """( )_+: the terms of `entry` with a nonnegative power of lambda (0
+    when there are none)."""
+    return sum(c * lam**n for n, c in entry.coefficients_in(VarId.LAMBDA).items() if n >= 0)
+
+
 @lru_cache(maxsize=None)
 def lax_matrices(deformed: bool = False) -> LaxTriple:
-    """The Lax matrix L(lambda) and flow matrices U1, U2.
+    """The Lax matrix L(lambda) = [[A, B], [C, -A]] and flow matrices U1, U2,
+    derived from the spectral curve f.
 
-    One formula serves both systems: time enters only through the deformation
-    coefficients c2 = t1 + 3 t2^2 and c3 = 3 t2, which are zero for the
-    autonomous triple, so at t1 = t2 = 0 the deformed triple is the
-    autonomous one by construction.
+    C = -(f + A^2)/B divides exactly, so det L = f, and
+    U_k = (L / (2 lambda^(3-k)))_+ + b_k E21, where ( )_+ keeps the
+    nonnegative powers of lambda.  Time enters only through the curve's
+    deformation coefficients, so at t1 = t2 = 0 the deformed triple is the
+    autonomous one.  Built once and shared.
     """
-    c2, c3 = deformation_coefficients() if deformed else (0, 0)
-    diagonal = p1 * lam + _HALF * x2 * p2
-    upper = lam**2 - x1 * lam - _QUARTER * x2**2
-    lower = (
-        -2 * lam**3
-        - 2 * (x1 + c3) * lam**2
-        - (2 * x1**2 + _HALF * x2**2 + 2 * c3 * x1 + 2 * c2) * lam
-        + p2**2
-        + 2 * alpha / x2**2
-    )
-    big_l = PolyMatrix2(diagonal, upper, lower, -diagonal)
-    u1 = PolyMatrix2(0, _HALF, -lam - 2 * x1 - c3, 0)
-    u2 = PolyMatrix2(
-        _HALF * p1,
-        _HALF * lam - _HALF * x1,
-        -(lam**2) - (x1 + c3) * lam - x1**2 - _HALF * x2**2 - c3 * x1 - c2,
-        -_HALF * p1,
-    )
+    quotient, _ = _divide(spectral_curve(deformed) + _A**2)
+    big_l = PolyMatrix2(_A, lam**2 + _B1 * lam + _B2, -quotient, -_A)
+    shifted = (big_l * (_HALF * lam ** (k - 3)) for k in (1, 2))
+    u1, u2 = (u.map(_polynomial_part) + PolyMatrix2(0, 0, b, 0) for u, b in zip(shifted, (_B1, _B2)))
     return LaxTriple(big_l, u1, u2, deformed)
-
-
-def spectral_curve(deformed: bool = False) -> LaurentPoly:
-    """det L(lambda): the spectral invariant of the traceless Lax matrix.
-
-    In the autonomous case this expands to
-    2 lambda^5 - 2 h1 lambda^2 - 2 h2 lambda + alpha/2, so every
-    lambda-coefficient Poisson-commutes with both Hamiltonians.  The
-    eigenvalue pair of L is +-sqrt(-det L).
-    """
-    return lax_matrices(deformed).L.det()
 
 
 def isomonodromy_deformation_term(u_matrix: PolyMatrix2) -> PolyMatrix2:

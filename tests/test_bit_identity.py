@@ -10,7 +10,9 @@ message.  This is the grid part of the `bit_identity_script` recorded in
 
 A mismatch means the float operations changed: a refactor of the steppers,
 the generated kernels or the diagnostics that should leave every result
-alone did not.
+alone did not.  A second hash pins the generated sources themselves, so a
+change to the exact model objects behind them shows even where no float
+of the grid moves.
 """
 
 import hashlib
@@ -80,3 +82,44 @@ def test_float_layer_is_bit_identical():
                     feed(("eig", i), (type(exc).__name__, str(exc)))
 
     assert (entries, digest.hexdigest()) == (ENTRIES, SHA256)
+
+
+# Count and sha256 of the generated sources hashed below.  A refactor of the
+# model or of the code generators that should leave the generated code
+# alone leaves both.
+SOURCES = 19
+SOURCES_SHA256 = "6cdac668162c3576c2ae6409228fd3ccc79b9597ae480d7b1b5094f9092958f0"
+
+
+def test_generated_sources_are_byte_identical(monkeypatch):
+    # Every source `kernels._compile` receives for the steppers, and for the
+    # right-hand sides and diagnostics rows of both models at three alphas,
+    # with the default lambdas and the eight samples of the test above.
+    from hhlax import kernels
+
+    sources = []
+    compile_source = kernels._compile
+
+    def recording(lines, *names):
+        sources.append("\n".join(lines))
+        return compile_source(lines, *names)
+
+    monkeypatch.setattr(kernels, "_compile", recording)
+    caches = (d._steppers, d._flows, d._diagnostics)
+    for cache in caches:
+        cache.cache_clear()
+    rng = random.Random(5)
+    eight = tuple(round(rng.uniform(-2, 3), 3) for _ in range(8))
+    try:
+        d._steppers()
+        for deformed in (False, True):
+            for alpha in (0.0, 0.05, -0.3):
+                d._flows(deformed, alpha)
+                for lambdas in ((0.5, 1.0, 2.0), eight):
+                    d._diagnostics(deformed, alpha, lambdas)
+    finally:
+        # Later tests get functions compiled without the recording wrapper.
+        for cache in caches:
+            cache.cache_clear()
+    digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
+    assert (len(sources), digest) == (SOURCES, SOURCES_SHA256)

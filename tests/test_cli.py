@@ -203,6 +203,19 @@ class TestSimulateCommand:
             header = json.loads(out_file.read_text())["columns"]
         assert header[9:] == [f"eig_{part}_{label}" for label in labels for part in ("re", "im")]
 
+    @pytest.mark.parametrize("command", ["simulate", "spectral"])
+    def test_repeated_lambdas_exit_2(self, command, tmp_path, capsys, no_integration):
+        # A column reader keyed by name would silently lose one eig pair.
+        out_file = tmp_path / "a.csv"
+        argv = ["simulate", "--flow", "t1", "--duration", "0.1", "--out", str(out_file)]
+        if command == "spectral":
+            argv = ["spectral", "--state", "1,1,0,0"]
+        code, out, err = run_cli(*argv, "--lambdas", "0.5,0.5", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: lambda samples must be distinct, got (0.5, 0.5)\n"
+        assert not out_file.exists()
+
     def test_deformed_flow(self, tmp_path, capsys):
         out_file = tmp_path / "deformed.csv"
         code, _, _ = run_cli(

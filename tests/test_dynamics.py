@@ -396,6 +396,13 @@ class TestConfigAndExport:
         with pytest.raises(ValueError):
             IntegratorConfig(max_step=-1.0)
 
+    @pytest.mark.parametrize("lambdas", [(0.5, 0.5), (0.5, 1.0, 0.5), (0.0, -0.0)])
+    def test_repeated_lambda_samples_are_refused(self, lambdas):
+        # Each sample names a pair of columns, so a repeated sample would
+        # give two pairs one name; 0.0 and -0.0 are one sample.
+        with pytest.raises(ValueError, match="lambda samples must be distinct"):
+            IntegratorConfig(lambdas=lambdas)
+
     def test_path_validation(self):
         with pytest.raises(ValueError):
             Path((ORIGIN,))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhlax import model
-from hhlax.algebra import DivisionByZero, LaurentPoly, N_VARS, Rational, VarId, poisson_bracket
+from hhlax.algebra import DivisionByZero, LaurentPoly, N_VARS, PolyMatrix2, Rational, VarId, poisson_bracket
 from hhlax.model import (
     VectorField4,
     deformation_coefficients,
@@ -18,6 +18,7 @@ from hhlax.model import (
     potential,
     recursion_matrix,
     recursion_matrix_inverse,
+    spectral_curve,
 )
 from hhlax.verify import run_checks
 
@@ -277,6 +278,93 @@ class TestLaxMatrices:
         assert triple.flow_matrix(2) is triple.U2
         with pytest.raises(ValueError):
             triple.flow_matrix(3)
+
+
+class TestOneCurve:
+    """The model is derived from its spectral curve; the forms written out
+    here by hand are the independent references the derivation must meet."""
+
+    @staticmethod
+    def _coefficients(deformed: bool):
+        # (c2, c3, kappa): deformation coefficients and Killing term.
+        return (t1 + 3 * t2**2, 3 * t2, p1) if deformed else (0, 0, 0)
+
+    @staticmethod
+    def _pair(curve: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+        # (H1, H2 + kappa) = (-[lambda^2]/2, -[lambda^1]/2).
+        coefficients = curve.coefficients_in(VarId.LAMBDA)
+        return -HALF * coefficients[2], -HALF * coefficients[1]
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_hamiltonians_are_the_potential_sums(self, deformed):
+        c2, c3, kappa = self._coefficients(deformed)
+        g1 = HALF * p1**2 + HALF * p2**2
+        g2 = HALF * x2 * p1 * p2 - HALF * x1 * p2**2
+        quartic, cubic, quadratic = potential(4), potential(3), potential(2)
+        h1 = g1 + quartic.v1 + alpha / x2**2 + c3 * cubic.v1 + c2 * quadratic.v1
+        h2 = g2 + quartic.v2 - alpha * x1 / x2**2 - kappa + c3 * cubic.v2 + c2 * quadratic.v2
+        hams = hamiltonians(deformed)
+        assert (hams.h1, hams.h2) == (h1, h2)
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_lax_triple_is_the_transcribed_one(self, deformed):
+        c2, c3, _ = self._coefficients(deformed)
+        diagonal = p1 * lam + HALF * x2 * p2
+        upper = lam**2 - x1 * lam - QUARTER * x2**2
+        lower = (
+            -2 * lam**3
+            - 2 * (x1 + c3) * lam**2
+            - (2 * x1**2 + HALF * x2**2 + 2 * c3 * x1 + 2 * c2) * lam
+            + p2**2
+            + 2 * alpha / x2**2
+        )
+        u1 = PolyMatrix2(0, HALF, -lam - 2 * x1 - c3, 0)
+        u2 = PolyMatrix2(
+            HALF * p1,
+            HALF * lam - HALF * x1,
+            -(lam**2) - (x1 + c3) * lam - x1**2 - HALF * x2**2 - c3 * x1 - c2,
+            -HALF * p1,
+        )
+        triple = lax_matrices(deformed)
+        assert triple.L == PolyMatrix2(diagonal, upper, lower, -diagonal)
+        assert (triple.U1, triple.U2) == (u1, u2)
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_det_l_is_the_curve(self, deformed):
+        assert lax_matrices(deformed).L.det() == spectral_curve(deformed)
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_curve_coefficients(self, deformed):
+        # 2 lam^5 + 2 c3 lam^4 + 2 c2 lam^3 - 2 H1 lam^2 - 2 (H2 + kappa) lam + alpha/2.
+        c2, c3, kappa = self._coefficients(deformed)
+        hams = hamiltonians(deformed)
+        expected = (
+            2 * lam**5 + 2 * c3 * lam**4 + 2 * c2 * lam**3
+            - 2 * hams.h1 * lam**2 - 2 * (hams.h2 + kappa) * lam + HALF * alpha
+        )
+        assert spectral_curve(deformed) == expected
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_model_objects_are_built_once(self, deformed):
+        assert spectral_curve(deformed) is spectral_curve(deformed)
+        assert hamiltonians(deformed) is hamiltonians(deformed)
+        assert lax_matrices(deformed) is lax_matrices(deformed)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_curve_of_top_power_k_plus_1_gives_rung_k(self, k):
+        # The same division turns 2 lam^(k+1) + alpha/2 into g + V(k) with
+        # the alpha terms, a pair in involution.
+        h1, h2 = self._pair(model._curve(2 * lam ** (k + 1) + HALF * alpha))
+        pair = potential(k)
+        assert h1 == HALF * (p1**2 + p2**2) + pair.v1 + alpha / x2**2
+        assert h2 == HALF * (x2 * p1 * p2 - x1 * p2**2) + pair.v2 - alpha * x1 / x2**2
+        assert poisson_bracket(h1, h2).is_zero
+
+    def test_wrong_diagonal_breaks_involution(self, monkeypatch):
+        # Negative control: A = p1 lam + x2 p2 in place of p1 lam + x2 p2/2.
+        monkeypatch.setattr(model, "_A", p1 * lam + x2 * p2)
+        h1, h2 = self._pair(model._curve(2 * lam**5 + HALF * alpha))
+        assert not poisson_bracket(h1, h2).is_zero
 
 
 def _model_object_lines():
