@@ -9,10 +9,10 @@ One spectral curve defines each model.  The hand-written data are L's
 diagonal A = p1 lambda + x2 p2/2, its upper entry B = lambda^2 + b1 lambda
 + b2 with b1 = -x1 and b2 = -x2^2/4, and the curve's part free of the
 Hamiltonians, f0 = 2 lambda^5 + 2 c3 lambda^4 + 2 c2 lambda^3 + alpha/2.
-Everything else follows by long division by the monic B in lambda: the
-curve f, the pair (H1, H2) read off its coefficients, L's lower entry
-C = -(f + A^2)/B, the flow matrices U1, U2, and the recursion step, which
-is the companion matrix of B.
+One long division of f0 + A^2 by the monic B in lambda gives L's lower
+entry C; the curve is det L, and the pair (H1, H2) is read off its
+coefficients.  The flow matrices U1, U2 are cut from L, and the recursion
+step is the companion matrix of B.
 """
 
 from __future__ import annotations
@@ -186,46 +186,62 @@ def deformation_coefficients() -> tuple[LaurentPoly, LaurentPoly]:
     return (t1 + 3 * t2**2, 3 * t2)
 
 
-def _divide(f: LaurentPoly) -> tuple[LaurentPoly, dict[int, LaurentPoly]]:
-    """(q, {1: r1, 0: r0}) with f = q B + r1 lambda + r0: long division in
-    lambda by the monic B, exact whatever f's other variables."""
-    rest = f.coefficients_in(VarId.LAMBDA)
+def _lax(f0: LaurentPoly) -> PolyMatrix2:
+    """L = [[A, B], [C, -A]] for the curve whose part free of the
+    Hamiltonians is f0.  One long division in lambda by the monic B writes
+    f0 + A^2 = q B + r1 lambda + r0, exact whatever f0's other variables.
+    Then C = -q - r0/b2 (b2 is a Laurent unit) gives det L = -A^2 - B C =
+    f0 + (r0/b2) lambda^2 + (r0 b1/b2 - r1) lambda: the Hamiltonians fill
+    the curve's lambda^2 and lambda^1 slots."""
+    rest = (f0 + _A**2).coefficients_in(VarId.LAMBDA)
     quotient = LaurentPoly.zero()
     for n in range(max(rest), 1, -1):
         lead = rest.pop(n, 0)
         quotient = quotient + lead * lam ** (n - 2)
         rest[n - 1] = rest.get(n - 1, 0) - lead * _B1
         rest[n - 2] = rest.get(n - 2, 0) - lead * _B2
-    return quotient, rest
+    return PolyMatrix2(_A, lam**2 + _B1 * lam + _B2, -quotient - rest[0] / _B2, -_A)
 
 
-def _curve(f0: LaurentPoly) -> LaurentPoly:
-    """The curve f = f0 - 2 H1 lambda^2 + f1 lambda with f + A^2 divisible
-    by B.  f0 + A^2 leaves the remainder r1 lambda + r0 and lambda^2 leaves
-    -b1 lambda - b2, so H1 = -r0/(2 b2) (b2 is a Laurent unit) and
-    f1 = -(r1 + 2 H1 b1)."""
-    _, rest = _divide(f0 + _A**2)
-    h1 = -rest[0] / (2 * _B2)
-    return f0 - 2 * h1 * lam**2 - (rest[1] + 2 * h1 * _B1) * lam
+def _polynomial_part(entry: LaurentPoly) -> LaurentPoly:
+    """( )_+: the terms of `entry` with a nonnegative power of lambda (0
+    when there are none)."""
+    return sum(c * lam**n for n, c in entry.coefficients_in(VarId.LAMBDA).items() if n >= 0)
+
+
+@lru_cache(maxsize=None)
+def lax_matrices(deformed: bool = False) -> LaxTriple:
+    """The Lax matrix L(lambda) = [[A, B], [C, -A]] and flow matrices U1, U2.
+
+    L comes from the curve's H-free part f0 = 2 lambda^5 + 2 c3 lambda^4
+    + 2 c2 lambda^3 + alpha/2 by one long division (`_lax`), and
+    U_k = (L / (2 lambda^(3-k)))_+ + b_k E21, where ( )_+ keeps the
+    nonnegative powers of lambda.  Time enters only through the deformation
+    coefficients c2, c3, so at t1 = t2 = 0 the deformed triple is the
+    autonomous one.  Built once and shared.
+    """
+    c2, c3 = deformation_coefficients() if deformed else (0, 0)
+    big_l = _lax(2 * lam**5 + 2 * c3 * lam**4 + 2 * c2 * lam**3 + _HALF * alpha)
+    shifted = (big_l * (_HALF * lam ** (k - 3)) for k in (1, 2))
+    u1, u2 = (u.map(_polynomial_part) + PolyMatrix2(0, 0, b, 0) for u, b in zip(shifted, (_B1, _B2)))
+    return LaxTriple(big_l, u1, u2, deformed)
 
 
 @lru_cache(maxsize=None)
 def spectral_curve(deformed: bool = False) -> LaurentPoly:
-    """The spectral curve f(lambda) = det L(lambda), the one definition of
-    each model:
+    """The spectral curve f(lambda) = det L(lambda) of each model:
 
         2 lambda^5 + 2 c3 lambda^4 + 2 c2 lambda^3 - 2 H1 lambda^2
           - 2 (H2 + kappa) lambda + alpha/2,
 
     with the deformation coefficients c2 = t1 + 3 t2^2, c3 = 3 t2 and the
     Killing term kappa = p1 for the deformed model, all zero for the
-    autonomous one.  Only the H-free part is written down; `_curve` derives
-    the rest.  Built once and shared.  Every lambda-coefficient of the
-    autonomous curve Poisson-commutes with both Hamiltonians, and the
-    eigenvalue pair of L is +-sqrt(-f).
+    autonomous one.  Only the H-free part is written down (`lax_matrices`);
+    det L supplies the rest.  Built once and shared.  Every
+    lambda-coefficient of the autonomous curve Poisson-commutes with both
+    Hamiltonians, and the eigenvalue pair of L is +-sqrt(-f).
     """
-    c2, c3 = deformation_coefficients() if deformed else (0, 0)
-    return _curve(2 * lam**5 + 2 * c3 * lam**4 + 2 * c2 * lam**3 + _HALF * alpha)
+    return lax_matrices(deformed).L.det()
 
 
 @lru_cache(maxsize=None)
@@ -249,30 +265,6 @@ def hamiltonian_vector_field(hamiltonian: LaurentPoly) -> VectorField4:
     moves every function f as {f, H}.  Built once for each of the last 64
     Hamiltonians, so its negated components keep their derivative memo."""
     return VectorField4(tuple(poisson_bracket(v, hamiltonian) for v in (x1, x2, p1, p2)))
-
-
-def _polynomial_part(entry: LaurentPoly) -> LaurentPoly:
-    """( )_+: the terms of `entry` with a nonnegative power of lambda (0
-    when there are none)."""
-    return sum(c * lam**n for n, c in entry.coefficients_in(VarId.LAMBDA).items() if n >= 0)
-
-
-@lru_cache(maxsize=None)
-def lax_matrices(deformed: bool = False) -> LaxTriple:
-    """The Lax matrix L(lambda) = [[A, B], [C, -A]] and flow matrices U1, U2,
-    derived from the spectral curve f.
-
-    C = -(f + A^2)/B divides exactly, so det L = f, and
-    U_k = (L / (2 lambda^(3-k)))_+ + b_k E21, where ( )_+ keeps the
-    nonnegative powers of lambda.  Time enters only through the curve's
-    deformation coefficients, so at t1 = t2 = 0 the deformed triple is the
-    autonomous one.  Built once and shared.
-    """
-    quotient, _ = _divide(spectral_curve(deformed) + _A**2)
-    big_l = PolyMatrix2(_A, lam**2 + _B1 * lam + _B2, -quotient, -_A)
-    shifted = (big_l * (_HALF * lam ** (k - 3)) for k in (1, 2))
-    u1, u2 = (u.map(_polynomial_part) + PolyMatrix2(0, 0, b, 0) for u, b in zip(shifted, (_B1, _B2)))
-    return LaxTriple(big_l, u1, u2, deformed)
 
 
 def isomonodromy_deformation_term(u_matrix: PolyMatrix2) -> PolyMatrix2:

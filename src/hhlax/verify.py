@@ -32,8 +32,8 @@ from .model import (
     isomonodromy_deformation_term,
     lax_matrices,
     lie_bracket,
-    spectral_curve,
 )
+from . import model
 
 __all__ = [
     "IdentityReport",
@@ -43,7 +43,6 @@ __all__ = [
     "check_isospectral_lax",
     "check_isomonodromic_lax",
     "check_sign_convention",
-    "spectral_curve",
     "spectral_curve_coefficients",
     "CHECKS",
     "run_checks",
@@ -181,8 +180,9 @@ def check_sign_convention(hams: HamiltonianSet | None = None) -> IdentityReport:
 
 
 def spectral_curve_coefficients(deformed: bool = False) -> dict[int, LaurentPoly]:
-    """Coefficients of det L(lambda) collected by power of lambda."""
-    return spectral_curve(deformed).coefficients_in(VarId.LAMBDA)
+    """Coefficients of det L(lambda), the curve `model.spectral_curve`,
+    collected by power of lambda."""
+    return model.spectral_curve(deformed).coefficients_in(VarId.LAMBDA)
 
 
 # Default registry run by the CLI: one entry per exact identity, with both

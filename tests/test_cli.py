@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hhlax
-from hhlax import cli, dynamics
+from hhlax import cli, dynamics, verify
 from hhlax.cli import _write_svg, main
-from hhlax.model import potential
+from hhlax.model import LaxTriple, lax_matrices, potential
 
 
 def run_cli(*args, capsys):
@@ -70,6 +70,23 @@ class TestVerifyCommand:
         result = run_subprocess("verify")
         assert result.returncode == 0
         assert "7/7 checks passed" in result.stdout
+
+    def test_failing_check_prints_expected_and_intermediate(self, capsys, monkeypatch):
+        # Negative control: the deformed L with the autonomous U1.
+        deformed, plain = lax_matrices(True), lax_matrices(False)
+        corrupted = LaxTriple(deformed.L, plain.U1, deformed.U2, True)
+        check = ("isomonodromic_lax_t1", lambda: verify.check_isomonodromic_lax(1, corrupted))
+        monkeypatch.setattr(verify, "CHECKS", (check,))
+        code, out, _ = run_cli("verify", capsys=capsys)
+        assert code == 1
+        assert out == (
+            "FAIL isomonodromic_lax_t1: residual = [[-3*x1*t2*lambda - 3/4*x2^2*t2 + 3*t2*lambda^2, 0],"
+            " [-3*x2*p2*t2 - 6*p1*t2*lambda, 3*x1*t2*lambda + 3/4*x2^2*t2 - 3*t2*lambda^2]]\n"
+            "  expected = [[0, 0], [-2*lambda, 0]]\n"
+            "  intermediate = [[-3*x1*t2*lambda - 3/4*x2^2*t2 + 3*t2*lambda^2, 0],"
+            " [-2*lambda - 3*x2*p2*t2 - 6*p1*t2*lambda, 3*x1*t2*lambda + 3/4*x2^2*t2 - 3*t2*lambda^2]]\n"
+            "0/1 checks passed\n"
+        )
 
 
 class TestPotentialCommand:

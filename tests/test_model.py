@@ -354,7 +354,7 @@ class TestOneCurve:
     def test_curve_of_top_power_k_plus_1_gives_rung_k(self, k):
         # The same division turns 2 lam^(k+1) + alpha/2 into g + V(k) with
         # the alpha terms, a pair in involution.
-        h1, h2 = self._pair(model._curve(2 * lam ** (k + 1) + HALF * alpha))
+        h1, h2 = self._pair(model._lax(2 * lam ** (k + 1) + HALF * alpha).det())
         pair = potential(k)
         assert h1 == HALF * (p1**2 + p2**2) + pair.v1 + alpha / x2**2
         assert h2 == HALF * (x2 * p1 * p2 - x1 * p2**2) + pair.v2 - alpha * x1 / x2**2
@@ -363,8 +363,83 @@ class TestOneCurve:
     def test_wrong_diagonal_breaks_involution(self, monkeypatch):
         # Negative control: A = p1 lam + x2 p2 in place of p1 lam + x2 p2/2.
         monkeypatch.setattr(model, "_A", p1 * lam + x2 * p2)
-        h1, h2 = self._pair(model._curve(2 * lam**5 + HALF * alpha))
+        h1, h2 = self._pair(model._lax(2 * lam**5 + HALF * alpha).det())
         assert not poisson_bracket(h1, h2).is_zero
+
+
+def _at(entry: LaurentPoly, at_mu: bool = False) -> dict:
+    """entry(lambda), or entry(mu), as {(i, j): coefficient of lambda^i mu^j}."""
+    return {((0, n) if at_mu else (n, 0)): c for n, c in entry.coefficients_in(VarId.LAMBDA).items()}
+
+
+def _shift(array: dict, i: int, j: int, scale=1) -> dict:
+    """scale * lambda^i mu^j * array."""
+    return {(a + i, b + j): scale * c for (a, b), c in array.items()}
+
+
+def _add(*arrays: dict) -> dict:
+    """The sum of coefficient arrays, zero coefficients dropped."""
+    total = {}
+    for array in arrays:
+        for key, c in array.items():
+            total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if not c.is_zero}
+
+
+def _times_gap(array: dict) -> dict:
+    """(lambda - mu) * array."""
+    return _add(_shift(array, 1, 0), _shift(array, 0, 1, -1))
+
+
+class TestRMatrix:
+    """L = [[A, B], [C, -A]] obeys a linear r-matrix algebra: every bracket
+    {X(lambda), Y(mu)} of its entries, times (lambda - mu), is a polynomial
+    in lambda and mu written through A, B and C alone.  Compared exactly as
+    coefficient arrays over (lambda, mu)."""
+
+    @staticmethod
+    def _broken(big_l: PolyMatrix2) -> set[str]:
+        """The brackets of L's entries that miss their r-matrix form."""
+        a, b, c = big_l.e11, big_l.e12, big_l.e21
+
+        def bracket(f, g):
+            # (lambda - mu) {f(lambda), g(mu)}.
+            return _times_gap(_add({
+                (i, j): poisson_bracket(fi, gj)
+                for i, fi in f.coefficients_in(VarId.LAMBDA).items()
+                for j, gj in g.coefficients_in(VarId.LAMBDA).items()
+            }))
+
+        def swap(entry):
+            # mu entry(lambda) - lambda entry(mu).
+            return _add(_shift(_at(entry), 0, 1), _shift(_at(entry, True), 1, 0, -1))
+
+        expected = {
+            "A,A": ((a, a), {}),
+            "B,B": ((b, b), {}),
+            "A,B": ((a, b), swap(b)),
+            "A,C": ((a, c), _add(_shift(swap(c), 0, 0, -1), _times_gap(_shift(_at(b), 0, 1, -2)))),
+            "B,C": ((b, c), _shift(swap(a), 0, 0, 2)),
+            "C,C": ((c, c), _times_gap(_shift(swap(a), 0, 0, 4))),
+        }
+        return {name for name, (pair, value) in expected.items() if bracket(*pair) != value}
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_derived_l_obeys_the_r_matrix_algebra(self, deformed):
+        assert self._broken(lax_matrices(deformed).L) == set()
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    @pytest.mark.parametrize(
+        "extra, broken",
+        [(x1 * lam, {"A,C"}), (p1 * lam, {"B,C", "C,C"})],
+        ids=["x1-lambda", "p1-lambda"],
+    )
+    def test_corrupted_lower_entry_breaks_its_brackets(self, deformed, extra, broken):
+        # Negative controls: B has no momenta, so C + x1 lambda still
+        # brackets with B as before and breaks only {A, C}.
+        big_l = lax_matrices(deformed).L
+        corrupted = PolyMatrix2(big_l.e11, big_l.e12, big_l.e21 + extra, big_l.e22)
+        assert self._broken(corrupted) == broken
 
 
 def _model_object_lines():

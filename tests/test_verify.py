@@ -12,6 +12,7 @@ from hhlax.model import (
     hamiltonians,
     lax_matrices,
     potential,
+    spectral_curve,
 )
 from hhlax.verify import (
     CHECKS,
@@ -22,7 +23,6 @@ from hhlax.verify import (
     check_sign_convention,
     check_zero_curvature,
     run_checks,
-    spectral_curve,
     spectral_curve_coefficients,
     _lax_defect,
 )
@@ -225,7 +225,16 @@ class TestIsomonodromicLax:
     def test_autonomous_u1_fails_for_deformed_system(self):
         deformed, plain = lax_matrices(True), lax_matrices(False)
         corrupted = LaxTriple(deformed.L, plain.U1, deformed.U2, True)
-        assert not check_isomonodromic_lax(1, triple=corrupted).passed
+        report = check_isomonodromic_lax(1, triple=corrupted)
+        assert not report.passed
+        # The serialized failure carries the intermediate beside the expected.
+        assert report.to_dict() == {
+            "name": "isomonodromic_lax_t1",
+            "passed": False,
+            "residual": str(report.residual),
+            "expected": "[[0, 0], [-2*lambda, 0]]",
+            "intermediate": str(report.intermediate),
+        }
 
 
 class TestSignConvention:
