@@ -224,7 +224,8 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     t = TimePoint(0.0, 0.0) if args.t is None else _parse_timepoint(args.t)
     cfg = _config_from_args(args)
     deformed = _parse_bool(args.deformed)
-    from .verify import spectral_curve_coefficients
+    from .algebra import VarId
+    from .model import spectral_curve
 
     # Computed before anything is printed, so a numeric failure leaves no
     # partial output behind.
@@ -232,7 +233,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     if args.t is not None and not deformed:
         print("note: --t is ignored: the autonomous curve does not depend on t", file=sys.stderr)
     print(f"det L(lambda) coefficients ({'deformed' if deformed else 'autonomous'}):")
-    for power, coefficient in spectral_curve_coefficients(deformed).items():
+    for power, coefficient in spectral_curve(deformed).coefficients_in(VarId.LAMBDA).items():
         print(f"  lambda^{power}: {coefficient}")
     at_t = f"t = ({t.t1:g}, {t.t2:g}), " if deformed else ""
     print(

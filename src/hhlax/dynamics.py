@@ -24,7 +24,8 @@ may proceed in parallel.
 
 Bad input is a `ValueError` raised where the value is made: `PhaseState`,
 `TimePoint` and `IntegratorConfig` hold finite numbers only, so the functions
-below check no number again (a raw alpha goes through `IntegratorConfig`).
+below check no number again (a raw alpha goes through `IntegratorConfig`);
+`check_reparametrization_numeric` checks its mu samples itself.
 An int state, time or duration becomes a float where a run starts, so every
 cell of a trajectory row is a float.
 """
@@ -35,7 +36,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import repeat
 from operator import sub
 from typing import Callable, Iterable, Sequence
@@ -406,23 +407,21 @@ def _integrate_ode(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) ->
 
 
 def snapshot(
-    deformed: bool, state: PhaseState, t: TimePoint, cfg: IntegratorConfig | None = None
+    deformed: bool, state: PhaseState, t: TimePoint, cfg: IntegratorConfig = IntegratorConfig()
 ) -> Trajectory:
     """Single-sample trajectory: the diagnostics of one (state, t) point."""
-    cfg = cfg or IntegratorConfig()
     diag = _diagnostics(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
     return Trajectory([diag(0.0, *_initial_time(t), _initial_state(state))], cfg.lambdas)
 
 
 def integrate_autonomous(
-    k: int, state0: PhaseState, duration: float, cfg: IntegratorConfig | None = None
+    k: int, state0: PhaseState, duration: float, cfg: IntegratorConfig = IntegratorConfig()
 ) -> Trajectory:
     """Integrate the autonomous flow k for `duration` (>= 0, finite).
 
     The trajectory records h1, h2 and the Lax eigenvalue samples at every
     accepted step; for the autonomous system all of them are conserved.
     """
-    cfg = cfg or IntegratorConfig()
     index = _flow_index(k)
     y0, duration = _initial_state(state0), _checked_duration(duration)
     _check_step_budget(duration, cfg.max_step)
@@ -436,7 +435,7 @@ def integrate_pfaffian(
     state0: PhaseState,
     t0: TimePoint,
     path: Path,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
     deformed: bool = True,
 ) -> Trajectory:
     """Integrate d(state) = Y_1 dt1 + Y_2 dt2 along a piecewise-linear path.
@@ -446,7 +445,6 @@ def integrate_pfaffian(
     autonomous fields are used instead (their flows commute, so the same
     path independence holds).
     """
-    cfg = cfg or IntegratorConfig()
     if path.waypoints[0] != t0:
         raise ValueError("path must start at t0")
     y = _initial_state(state0)
@@ -471,10 +469,9 @@ def integrate_pfaffian(
 
 
 def check_flow_commutation_numeric(
-    state0: PhaseState, s: float, u: float, cfg: IntegratorConfig | None = None
+    state0: PhaseState, s: float, u: float, cfg: IntegratorConfig = IntegratorConfig()
 ) -> float:
     """Max-norm distance between the two compositions of the autonomous flows."""
-    cfg = cfg or IntegratorConfig()
     first = integrate_autonomous(1, state0, s, cfg).samples[-1].state
     one_then_two = integrate_autonomous(2, first, u, cfg).samples[-1].state
     second = integrate_autonomous(2, state0, u, cfg).samples[-1].state
@@ -507,18 +504,22 @@ def check_reparametrization_numeric(
     Compares a central finite difference of U_k(exp(2 mu)) in mu against the
     symbolic 2 lambda dU_k/dlambda evaluated at lambda = exp(2 mu); a small
     residual confirms the deformation term turns into a plain mu-derivative
-    after the reparametrization.
+    after the reparametrization.  No samples, a non-finite mu or a mu whose
+    exp(2 mu) overflows a float is a `ValueError`.
     """
+    if not mu_samples or not all(map(_is_finite, mu_samples)):
+        raise ValueError(f"mu samples must be finite and not empty, got {mu_samples!r}")
     u_matrix = lax_matrices(True).flow_matrix(k)
     target_matrix = isomonodromy_deformation_term(u_matrix)
     # U_k is free of alpha and of negative powers, so its kernel has no guard.
-    evaluate = CompiledPolySet([*u_matrix.entries(), *target_matrix.entries()]).evaluate
-    point = (state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
+    kernel = CompiledPolySet([*u_matrix.entries(), *target_matrix.entries()])
+    evaluate = partial(kernel.evaluate, state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
     worst = 0.0
     for mu in mu_samples:
-        plus = evaluate(*point, math.exp(2 * (mu + _FD_STEP)), 0.0)[:4]
-        minus = evaluate(*point, math.exp(2 * (mu - _FD_STEP)), 0.0)[:4]
-        exact = evaluate(*point, math.exp(2 * mu), 0.0)[4:]
-        for p, m, e in zip(plus, minus, exact):
+        try:
+            plus, minus, exact = (evaluate(math.exp(2 * (mu + h)), 0.0) for h in (_FD_STEP, -_FD_STEP, 0))
+        except OverflowError:
+            raise ValueError(f"lambda = exp(2 mu) overflows a float at mu = {mu!r}") from None
+        for p, m, e in zip(plus[:4], minus[:4], exact[4:]):
             worst = max(worst, abs((p - m) / (2 * _FD_STEP) - e))
     return worst

@@ -142,34 +142,33 @@ def recursion_matrix_inverse() -> PolyMatrix2:
     return adjugate * step.det().inverse_term()
 
 
-# The rungs built so far with |k| <= _MEMO_LIMIT (the CLI's range), by k;
-# rung 0 starts both walks.  Deeper rungs grow with |k| and are not stored.
+# The rungs built so far as two prefix lists, _rungs[k < 0][abs(k)]: rungs
+# 0, 1, 2, ... and 0, -1, -2, ..., each grown on demand up to |k| =
+# _MEMO_LIMIT (the CLI's range).  Deeper rungs grow with |k| and are not stored.
 _MEMO_LIMIT = 64
-_rungs: dict[int, tuple[LaurentPoly, LaurentPoly]] = {0: (LaurentPoly.zero(), LaurentPoly.one())}
+_rungs = ([(LaurentPoly.zero(), LaurentPoly.one())], [(LaurentPoly.zero(), LaurentPoly.one())])
 
 
 def _potential_vector(k: int) -> tuple[LaurentPoly, LaurentPoly]:
-    # Walk outwards from the built rung nearest to k in a loop: no call
-    # frame is held per rung, so every k stays inside the recursion limit.
-    rung = _rungs.get(k)
-    if rung is not None:
-        return rung
-    outward = 1 if k > 0 else -1
-    built = k - outward
-    while built not in _rungs:
-        built -= outward
-    step = recursion_matrix() if k > 0 else recursion_matrix_inverse()
-    rung = _rungs[built]
-    while built != k:
-        built += outward
+    # Walk outwards from the last stored rung in a loop: no call frame is
+    # held per rung, so every k stays inside the recursion limit.
+    if type(k) is not int:
+        raise TypeError(f"rung index must be an int, got {k!r}")
+    rungs, depth = _rungs[k < 0], abs(k)
+    if depth < len(rungs):
+        return rungs[depth]
+    step = recursion_matrix_inverse() if k < 0 else recursion_matrix()
+    rung = rungs[-1]
+    for built in range(len(rungs), depth + 1):
         rung = step.apply(rung)
-        if abs(built) <= _MEMO_LIMIT:
-            _rungs[built] = rung
+        if built <= _MEMO_LIMIT:
+            rungs.append(rung)
     return rung
 
 
 def potential(k: int) -> PotentialPair:
-    """k-th separable potential pair, defined for every integer k.
+    """k-th separable potential pair, defined for every int k; any other
+    k (a float, a bool) is a `TypeError`.
 
     Negative k walks the recursion backwards through the exact Laurent
     inverse, so e.g. k = -1 gives (4/x2^2, -4 x1/x2^2).

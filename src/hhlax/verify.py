@@ -6,7 +6,9 @@ equality with the expected value — no numeric tolerance is involved.  The
 residual object itself is kept in the report for debugging and golden tests.
 
 All checks accept the model objects as optional arguments so corrupted
-inputs can be injected; the defaults are the genuine model objects.
+inputs can be injected; the defaults are the genuine model objects.  The
+module holds the checks and their registry only: the model objects, the
+spectral curve and its coefficients included, are read from `hhlax.model`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .model import (
     lax_matrices,
     lie_bracket,
 )
-from . import model
 
 __all__ = [
     "IdentityReport",
@@ -43,7 +44,6 @@ __all__ = [
     "check_isospectral_lax",
     "check_isomonodromic_lax",
     "check_sign_convention",
-    "spectral_curve_coefficients",
     "CHECKS",
     "run_checks",
 ]
@@ -177,12 +177,6 @@ def check_sign_convention(hams: HamiltonianSet | None = None) -> IdentityReport:
     field2 = hamiltonian_vector_field(hams.h2)
     residual = hamiltonian_vector_field(poisson_bracket(hams.h1, hams.h2)) + lie_bracket(field1, field2)
     return IdentityReport("sign_convention", residual, residual.is_zero)
-
-
-def spectral_curve_coefficients(deformed: bool = False) -> dict[int, LaurentPoly]:
-    """Coefficients of det L(lambda), the curve `model.spectral_curve`,
-    collected by power of lambda."""
-    return model.spectral_curve(deformed).coefficients_in(VarId.LAMBDA)
 
 
 # Default registry run by the CLI: one entry per exact identity, with both

@@ -636,6 +636,18 @@ class TestSpectralCommand:
         )
         assert (code, out, err) == (0, default, "")
 
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            pytest.param("spectral_autonomous.txt", [], id="autonomous"),
+            pytest.param("spectral_deformed.txt", ["--deformed", "true", "--t", "0.3,0.2"], id="deformed"),
+        ],
+    )
+    def test_golden(self, name, extra, capsys, golden_dir):
+        code, out, err = run_cli("spectral", "--state", "1,1,0.5,-0.25", "--alpha", "0.05", *extra, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out == (golden_dir / name).read_text()
+
 
 class TestUsage:
     def test_no_command(self):

@@ -386,6 +386,21 @@ class TestReparametrization:
         )
         assert residual < 1e-8
 
+    @pytest.mark.parametrize(
+        "mu_samples, message",
+        [
+            pytest.param([], "must be finite and not empty", id="empty"),
+            # max(worst, nan) keeps worst: a NaN sample would read as a pass.
+            pytest.param([0.0, math.nan], "must be finite and not empty", id="nan"),
+            pytest.param([math.inf], "must be finite and not empty", id="inf"),
+            pytest.param([-math.inf], "must be finite and not empty", id="-inf"),
+            pytest.param([400.0], "overflows a float at mu = 400.0", id="overflow"),
+        ],
+    )
+    def test_bad_mu_samples_are_refused(self, mu_samples, message):
+        with pytest.raises(ValueError, match=message):
+            check_reparametrization_numeric(1, REFERENCE, ORIGIN, mu_samples)
+
 
 class TestConfigAndExport:
     def test_config_validation(self):

@@ -82,18 +82,45 @@ class TestPotentialRecursion:
 
     @pytest.mark.parametrize("k", [600, -600])
     def test_deep_rung_walks_without_recursion(self, k, monkeypatch):
-        # A fresh memo holding rung 0 only: potential(k) then walks all |k|
+        # Fresh lists holding rung 0 only: potential(k) then walks all |k|
         # steps, deeper than the default recursion limit would allow one
         # call frame per rung, and stores only the rungs |k| <= 64 on the
-        # way.  The memo is restored after the test.
-        monkeypatch.setattr(model, "_rungs", {0: model._rungs[0]})
+        # way, on k's side.  The lists are restored after the test.
+        base = model._rungs[0][0]
+        monkeypatch.setattr(model, "_rungs", ([base], [base]))
         assert sys.getrecursionlimit() <= 1000
         pair = potential(k)
-        outward = 1 if k > 0 else -1
-        assert sorted(model._rungs, key=abs) == list(range(0, outward * 65, outward))
-        inward = potential(k - 1 if k > 0 else k + 1)
+        walked, other = model._rungs if k > 0 else model._rungs[::-1]
+        assert (len(walked), other) == (65, [base])
         step = recursion_matrix() if k > 0 else recursion_matrix_inverse()
+        rung = base
+        for stored in walked[1:]:
+            rung = step.apply(rung)
+            assert stored == rung
+        inward = potential(k - 1 if k > 0 else k + 1)
         assert step.apply((inward.v1, inward.v2)) == (pair.v1, pair.v2)
+
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_an_integral_index_that_is_no_int_is_refused(self, k):
+        # 2.0 == 2 and True == 1, yet only an int names a rung.
+        with pytest.raises(TypeError, match="rung index must be an int"):
+            potential(k)
+
+    @pytest.mark.parametrize("k", ["1.5", "-0.5", "nan", "inf"])
+    def test_a_non_integral_index_is_refused_at_once(self, k, child_python):
+        # A walk towards a k that is no integer never arrives, so the call
+        # runs in a child that is killed, failing the test, after 10 s.
+        code = (
+            "from hhlax.model import potential\n"
+            f"try:\n    potential(float({k!r}))\nexcept TypeError as error:\n    print(error)\n"
+        )
+        assert child_python(code, timeout=10) == f"rung index must be an int, got {float(k)!r}\n"
+
+    def test_rungs_are_stored_once_on_each_side(self):
+        for k in range(-64, 65):
+            assert potential(k).v1 is potential(k).v1
+        assert [len(side) for side in model._rungs] == [65, 65]
+        assert potential(65).v1 is not potential(65).v1
 
     def test_deep_rungs_leave_peak_memory_flat(self, child_peak_rss_kb):
         # Walking to +-600 in a fresh process stores none of the deep rungs:
@@ -295,20 +322,33 @@ class TestOneCurve:
         coefficients = curve.coefficients_in(VarId.LAMBDA)
         return -HALF * coefficients[2], -HALF * coefficients[1]
 
-    @pytest.mark.parametrize("deformed", [False, True])
-    def test_hamiltonians_are_the_potential_sums(self, deformed):
-        c2, c3, kappa = self._coefficients(deformed)
+    @classmethod
+    def _hand_pair(cls, deformed: bool) -> tuple[LaurentPoly, LaurentPoly]:
+        # (H1, H2): the kinetic parts plus the potential rungs, alpha terms,
+        # deformation terms and Killing shift.
+        c2, c3, kappa = cls._coefficients(deformed)
         g1 = HALF * p1**2 + HALF * p2**2
         g2 = HALF * x2 * p1 * p2 - HALF * x1 * p2**2
         quartic, cubic, quadratic = potential(4), potential(3), potential(2)
         h1 = g1 + quartic.v1 + alpha / x2**2 + c3 * cubic.v1 + c2 * quadratic.v1
         h2 = g2 + quartic.v2 - alpha * x1 / x2**2 - kappa + c3 * cubic.v2 + c2 * quadratic.v2
-        hams = hamiltonians(deformed)
-        assert (hams.h1, hams.h2) == (h1, h2)
+        return h1, h2
 
-    @pytest.mark.parametrize("deformed", [False, True])
-    def test_lax_triple_is_the_transcribed_one(self, deformed):
-        c2, c3, _ = self._coefficients(deformed)
+    @classmethod
+    def _hand_curve(cls, deformed: bool) -> LaurentPoly:
+        # 2 lam^5 + 2 c3 lam^4 + 2 c2 lam^3 - 2 H1 lam^2 - 2 (H2 + kappa) lam
+        # + alpha/2, from the hand-written pair.
+        c2, c3, kappa = cls._coefficients(deformed)
+        h1, h2 = cls._hand_pair(deformed)
+        return (
+            2 * lam**5 + 2 * c3 * lam**4 + 2 * c2 * lam**3
+            - 2 * h1 * lam**2 - 2 * (h2 + kappa) * lam + HALF * alpha
+        )
+
+    @classmethod
+    def _hand_l(cls, deformed: bool) -> PolyMatrix2:
+        # L = [[A, B], [C, -A]] with every entry written out.
+        c2, c3, _ = cls._coefficients(deformed)
         diagonal = p1 * lam + HALF * x2 * p2
         upper = lam**2 - x1 * lam - QUARTER * x2**2
         lower = (
@@ -318,6 +358,16 @@ class TestOneCurve:
             + p2**2
             + 2 * alpha / x2**2
         )
+        return PolyMatrix2(diagonal, upper, lower, -diagonal)
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_hamiltonians_are_the_potential_sums(self, deformed):
+        hams = hamiltonians(deformed)
+        assert (hams.h1, hams.h2) == self._hand_pair(deformed)
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_lax_triple_is_the_transcribed_one(self, deformed):
+        c2, c3, _ = self._coefficients(deformed)
         u1 = PolyMatrix2(0, HALF, -lam - 2 * x1 - c3, 0)
         u2 = PolyMatrix2(
             HALF * p1,
@@ -326,23 +376,21 @@ class TestOneCurve:
             -HALF * p1,
         )
         triple = lax_matrices(deformed)
-        assert triple.L == PolyMatrix2(diagonal, upper, lower, -diagonal)
+        assert triple.L == self._hand_l(deformed)
         assert (triple.U1, triple.U2) == (u1, u2)
 
     @pytest.mark.parametrize("deformed", [False, True])
     def test_det_l_is_the_curve(self, deformed):
-        assert lax_matrices(deformed).L.det() == spectral_curve(deformed)
+        # Both sides are written by hand: det of the transcribed L against
+        # the curve of the hand-written pair.  Control: one extra term
+        # x1 lambda^2 on the curve is seen.
+        det = self._hand_l(deformed).det()
+        assert det == self._hand_curve(deformed)
+        assert det != self._hand_curve(deformed) + x1 * lam**2
 
     @pytest.mark.parametrize("deformed", [False, True])
     def test_curve_coefficients(self, deformed):
-        # 2 lam^5 + 2 c3 lam^4 + 2 c2 lam^3 - 2 H1 lam^2 - 2 (H2 + kappa) lam + alpha/2.
-        c2, c3, kappa = self._coefficients(deformed)
-        hams = hamiltonians(deformed)
-        expected = (
-            2 * lam**5 + 2 * c3 * lam**4 + 2 * c2 * lam**3
-            - 2 * hams.h1 * lam**2 - 2 * (hams.h2 + kappa) * lam + HALF * alpha
-        )
-        assert spectral_curve(deformed) == expected
+        assert spectral_curve(deformed) == self._hand_curve(deformed)
 
     @pytest.mark.parametrize("deformed", [False, True])
     def test_model_objects_are_built_once(self, deformed):

@@ -23,7 +23,6 @@ from hhlax.verify import (
     check_sign_convention,
     check_zero_curvature,
     run_checks,
-    spectral_curve_coefficients,
     _lax_defect,
 )
 
@@ -259,7 +258,7 @@ class TestSpectralCurve:
         assert spectral_curve(False) == expected
 
     def test_leading_coefficient(self):
-        coefficients = spectral_curve_coefficients(False)
+        coefficients = spectral_curve(False).coefficients_in(VarId.LAMBDA)
         assert coefficients[5] == LaurentPoly.constant(2)
 
     def test_value_at_zero_phase_point(self):
@@ -273,7 +272,7 @@ class TestSpectralCurve:
 
     def test_coefficients_commute_with_hamiltonians(self):
         hams = hamiltonians(False)
-        for coefficient in spectral_curve_coefficients(False).values():
+        for coefficient in spectral_curve(False).coefficients_in(VarId.LAMBDA).values():
             assert poisson_bracket(coefficient, hams.h1).is_zero
             assert poisson_bracket(coefficient, hams.h2).is_zero
 
