@@ -31,6 +31,7 @@ wrapping into another monomial.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -507,31 +508,27 @@ def poisson_bracket(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return acc
 
 
+@dataclass(frozen=True, slots=True)
 class PolyMatrix2:
     """2x2 matrix with Laurent-polynomial entries.
 
     The entries are read-only: the model shares its matrices (the Lax
     triples and the recursion matrices) with every caller, so none may
-    change them for the others.
+    change them for the others.  A frozen slotted dataclass provides that,
+    together with equality and a hash by the entries, copies and pickling;
+    an int or Fraction entry is coerced to a constant polynomial.
     """
 
-    __slots__ = ("e11", "e12", "e21", "e22")
+    e11: LaurentPoly
+    e12: LaurentPoly
+    e21: LaurentPoly
+    e22: LaurentPoly
 
-    def __init__(self, e11, e12, e21, e22):
-        init = object.__setattr__
-        init(self, "e11", _require_poly(e11))
-        init(self, "e12", _require_poly(e12))
-        init(self, "e21", _require_poly(e21))
-        init(self, "e22", _require_poly(e22))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PolyMatrix2 entries are read-only (cannot set {name!r})")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PolyMatrix2 entries are read-only (cannot delete {name!r})")
-
-    def __reduce__(self):
-        return (PolyMatrix2, self.entries())
+    def __post_init__(self):
+        for name in ("e11", "e12", "e21", "e22"):
+            entry = getattr(self, name)
+            if not isinstance(entry, LaurentPoly):
+                object.__setattr__(self, name, _require_poly(entry))
 
     @classmethod
     def identity(cls) -> "PolyMatrix2":
@@ -582,14 +579,6 @@ class PolyMatrix2:
 
     def det(self) -> LaurentPoly:
         return self.e11 * self.e22 - self.e12 * self.e21
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix2):
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    def __hash__(self) -> int:
-        return hash(self.entries())
 
     def __str__(self) -> str:
         return f"[[{self.e11}, {self.e12}], [{self.e21}, {self.e22}]]"

@@ -43,8 +43,8 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import LaurentPoly, VarId
 from .kernels import (
-    CompiledPolySet, NonFiniteState, SingularState, StepSizeUnderflow,
-    compile_diagnostics, compile_flows, compile_steppers,
+    NonFiniteState, SingularState, StepSizeUnderflow,
+    compile_diagnostics, compile_flows, compile_polys, compile_steppers,
 )
 from .model import (
     hamiltonian_vector_field,
@@ -504,22 +504,24 @@ def check_reparametrization_numeric(
     Compares a central finite difference of U_k(exp(2 mu)) in mu against the
     symbolic 2 lambda dU_k/dlambda evaluated at lambda = exp(2 mu); a small
     residual confirms the deformation term turns into a plain mu-derivative
-    after the reparametrization.  No samples, a non-finite mu or a mu whose
-    exp(2 mu) overflows a float is a `ValueError`.
+    after the reparametrization.  No samples, a non-finite mu, a mu whose
+    exp(2 mu) overflows a float or a residual that is not finite is a
+    `ValueError`.
     """
     if not mu_samples or not all(map(_is_finite, mu_samples)):
         raise ValueError(f"mu samples must be finite and not empty, got {mu_samples!r}")
     u_matrix = lax_matrices(True).flow_matrix(k)
     target_matrix = isomonodromy_deformation_term(u_matrix)
     # U_k is free of alpha and of negative powers, so its kernel has no guard.
-    kernel = CompiledPolySet([*u_matrix.entries(), *target_matrix.entries()])
-    evaluate = partial(kernel.evaluate, state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
+    kernel = compile_polys([*u_matrix.entries(), *target_matrix.entries()])
+    evaluate = partial(kernel, state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
     worst = 0.0
     for mu in mu_samples:
         try:
             plus, minus, exact = (evaluate(math.exp(2 * (mu + h)), 0.0) for h in (_FD_STEP, -_FD_STEP, 0))
         except OverflowError:
             raise ValueError(f"lambda = exp(2 mu) overflows a float at mu = {mu!r}") from None
-        for p, m, e in zip(plus[:4], minus[:4], exact[4:]):
-            worst = max(worst, abs((p - m) / (2 * _FD_STEP) - e))
+        residuals = [abs((p - m) / (2 * _FD_STEP) - e) for p, m, e in zip(plus[:4], minus[:4], exact[4:])]
+        _require_finite(f"the residuals at mu = {mu!r}", residuals, residuals)
+        worst = max(worst, *residuals)
     return worst

@@ -25,7 +25,11 @@ det L with a negative power of lambda, whose samples are literals.  Once
 alpha is folded in, the deformation's `x2^-2`/`x2^-3` terms are the only
 negative powers, and alpha = 0 removes them together with the guard.
 
-Three kinds of generated function make up an integration run:
+`compile_polys` compiles one stack to `evaluate(x1, x2, p1, p2, t1, t2,
+lam, alpha)`, which returns one float per polynomial;
+`dynamics.check_reparametrization_numeric` evaluates U_k and
+2 lambda dU_k/dlambda through it.  Three kinds of generated function make up
+an integration run:
 
 - `compile_flows` turns the two Hamiltonian vector fields into the steppers'
   right-hand sides `rhs(s, x1, x2, p1, p2)`: one function per autonomous
@@ -55,8 +59,8 @@ from typing import Callable, Sequence
 from .algebra import LaurentPoly, VarId
 
 __all__ = [
-    "CompiledPolySet", "NonFiniteState", "SingularState", "StepSizeUnderflow",
-    "compile_diagnostics", "compile_flows", "compile_steppers",
+    "NonFiniteState", "SingularState", "StepSizeUnderflow",
+    "compile_diagnostics", "compile_flows", "compile_polys", "compile_steppers",
 ]
 
 # A variable at a negative power whose value is this close to zero counts as
@@ -146,19 +150,16 @@ def _compile(lines: list[str], *names: str) -> tuple[Callable, ...]:
     return tuple(namespace.pop(name) for name in names)
 
 
-class CompiledPolySet:
-    """A stack of Laurent polynomials compiled to one Python function.
-
-    `evaluate(x1, x2, p1, p2, t1, t2, lam, alpha)` returns a tuple with one
-    float per polynomial.  A variable at a negative power within 1e-12 of
-    zero raises SingularState.
+def compile_polys(polys: Sequence[LaurentPoly]) -> Callable[..., tuple]:
+    """`evaluate(x1, x2, p1, p2, t1, t2, lam, alpha)`, a stack of Laurent
+    polynomials compiled to one function that returns a tuple with one float
+    per polynomial.  A variable at a negative power within 1e-12 of zero
+    raises SingularState.
     """
-
-    def __init__(self, polys: Sequence[LaurentPoly]):
-        self.n_polys = len(polys)
-        lines = [f"def evaluate({', '.join(_ARGUMENTS)}):", *_stack_source(polys, "r")]
-        lines.append(f"    return ({''.join(f'r{i}, ' for i in range(self.n_polys))})")
-        (self.evaluate,) = _compile(lines, "evaluate")
+    lines = [f"def evaluate({', '.join(_ARGUMENTS)}):", *_stack_source(polys, "r")]
+    lines.append(f"    return ({''.join(f'r{i}, ' for i in range(len(polys)))})")
+    (evaluate,) = _compile(lines, "evaluate")
+    return evaluate
 
 
 def compile_flows(

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from hhlax.algebra import DivisionByZero, LaurentPoly, VarId
-from hhlax.kernels import CompiledPolySet
+from hhlax.kernels import compile_polys
 from hhlax.model import hamiltonian_vector_field, hamiltonians
 
 
@@ -58,8 +58,8 @@ def reference_diagnostics(h1, h2, det, lambdas):
     once per lambda, and `cmath.sqrt`: the diagnostics as they were computed
     before one generated function produced the whole row.  The polynomials
     have alpha folded in."""
-    hams_kernel = CompiledPolySet([h1, h2]).evaluate
-    det_kernel = CompiledPolySet([det]).evaluate
+    hams_kernel = compile_polys([h1, h2])
+    det_kernel = compile_polys([det])
 
     def row(s, t1, t2, y):
         values = [s, t1, t2, *y, *hams_kernel(*y, t1, t2, 1.0, 0.0)]
@@ -98,9 +98,9 @@ def reference_fields(deformed, alpha):
     hams = hamiltonians(deformed)
     value = Fraction(alpha)
     return tuple(
-        CompiledPolySet(
+        compile_polys(
             [c.substitute_rational(VarId.ALPHA, value) for c in hamiltonian_vector_field(h).components]
-        ).evaluate
+        )
         for h in (hams.h1, hams.h2)
     )
 

@@ -165,6 +165,27 @@ class TestMatrixOps:
         for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert twin == m and twin.entries() == m.entries()
 
+    @pytest.mark.parametrize("entry, name", [(True, "bool"), (1.5, "float")])
+    def test_inexact_entry_is_refused_by_name(self, entry, name):
+        with pytest.raises(TypeError, match=f"^matrix entries must be polynomials or scalars, got {name}$"):
+            PolyMatrix2(entry, 0, 0, 0)
+
+    def test_matrix_takes_no_new_attribute(self):
+        # A frozen slotted dataclass refuses a name that is no field with
+        # AttributeError, or on CPython 3.11 with TypeError: its generated
+        # __setattr__ calls super() on the class as it was before slots.
+        m = PolyMatrix2.identity()
+        with pytest.raises((AttributeError, TypeError)):
+            m.extra = 1
+        with pytest.raises((AttributeError, TypeError)):
+            del m.extra
+        assert not hasattr(m, "extra") and m == PolyMatrix2.identity()
+
+    def test_matrix_hashes_as_its_entries_but_is_not_them(self):
+        m = PolyMatrix2(x1, 1, QUARTER * x2**2, lam**-1)
+        assert hash(m) == hash(m.entries())
+        assert m != m.entries() and m.entries() != m
+
 
 class TestNumericSubstitution:
     def test_h1_reference_point(self):

@@ -387,19 +387,25 @@ class TestReparametrization:
         assert residual < 1e-8
 
     @pytest.mark.parametrize(
-        "mu_samples, message",
+        "k, mu_samples, message",
         [
-            pytest.param([], "must be finite and not empty", id="empty"),
+            pytest.param(1, [], "must be finite and not empty", id="empty"),
             # max(worst, nan) keeps worst: a NaN sample would read as a pass.
-            pytest.param([0.0, math.nan], "must be finite and not empty", id="nan"),
-            pytest.param([math.inf], "must be finite and not empty", id="inf"),
-            pytest.param([-math.inf], "must be finite and not empty", id="-inf"),
-            pytest.param([400.0], "overflows a float at mu = 400.0", id="overflow"),
+            pytest.param(1, [0.0, math.nan], "must be finite and not empty", id="nan"),
+            pytest.param(1, [math.inf], "must be finite and not empty", id="inf"),
+            pytest.param(1, [-math.inf], "must be finite and not empty", id="-inf"),
+            pytest.param(1, [400.0], "overflows a float at mu = 400.0", id="overflow"),
+            # At mu = 354 the entry -lambda^2 of U2 is -inf at all three
+            # lambdas, so its residual is inf - inf = nan, which
+            # max(worst, nan) would drop in favour of the other entries.
+            pytest.param(
+                2, [0.0, 354.0], r"^the residuals at mu = 354.0 must be finite, got \[.*nan", id="nan-residual"
+            ),
         ],
     )
-    def test_bad_mu_samples_are_refused(self, mu_samples, message):
+    def test_bad_mu_samples_are_refused(self, k, mu_samples, message):
         with pytest.raises(ValueError, match=message):
-            check_reparametrization_numeric(1, REFERENCE, ORIGIN, mu_samples)
+            check_reparametrization_numeric(k, REFERENCE, ORIGIN, mu_samples)
 
 
 class TestConfigAndExport:

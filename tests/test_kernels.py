@@ -14,7 +14,7 @@ import pytest
 
 from hhlax import kernels
 from hhlax.algebra import LaurentPoly, Rational, VarId
-from hhlax.kernels import CompiledPolySet, NonFiniteState, SingularState, compile_diagnostics, compile_flows
+from hhlax.kernels import NonFiniteState, SingularState, compile_diagnostics, compile_flows, compile_polys
 from hhlax.model import hamiltonian_vector_field, hamiltonians, lax_matrices
 from numeric_reference import (
     reference_autonomous_rhs,
@@ -74,13 +74,13 @@ def _deformed_polys(alpha) -> list[LaurentPoly]:
 
 
 def test_zero_polynomial():
-    table = CompiledPolySet([LaurentPoly.zero()])
-    assert table.evaluate(*_random_vals()) == (0.0,)
+    evaluate = compile_polys([LaurentPoly.zero()])
+    assert evaluate(*_random_vals()) == (0.0,)
 
 
 def test_all_ones_point():
-    table = CompiledPolySet([hamiltonians(False).h1])
-    assert table.evaluate(*[1.0] * 8) == (3.5,)  # 1/2 + 1/2 + 1 + 1/2 + 1
+    evaluate = compile_polys([hamiltonians(False).h1])
+    assert evaluate(*[1.0] * 8) == (3.5,)  # 1/2 + 1/2 + 1 + 1/2 + 1
 
 
 @pytest.mark.parametrize(
@@ -97,50 +97,49 @@ def test_all_ones_point():
     ],
 )
 def test_generated_code_matches_interpreter_bit_for_bit(polys):
-    table = CompiledPolySet(polys)
-    assert table.n_polys == len(polys)
+    evaluate = compile_polys(polys)
     for _ in range(100):
         vals = _random_vals()
-        assert _bits(table.evaluate(*vals)) == _bits(interpret(polys, vals))
+        assert _bits(evaluate(*vals)) == _bits(interpret(polys, vals))
 
 
 def test_matches_exact_substitution():
     polys = [hamiltonians(False).h1, hamiltonians(False).h2, lax_matrices(False).L.det()]
     polys += [hamiltonians(True).h1, hamiltonians(True).h2, lax_matrices(True).L.det()]
-    table = CompiledPolySet(polys)
+    evaluate = compile_polys(polys)
     for _ in range(50):
         vals = _random_vals()
         point = {VarId(i): vals[i] for i in range(8)}
-        for poly, got in zip(polys, table.evaluate(*vals)):
+        for poly, got in zip(polys, evaluate(*vals)):
             expected = substitute_numeric(poly, point)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_negative_power_of_zero_raises():
-    table = CompiledPolySet(_deformed_polys(Rational(1, 20))[:1])
+    evaluate = compile_polys(_deformed_polys(Rational(1, 20))[:1])
     with pytest.raises(ZeroDivisionError):
-        table.evaluate(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.05)
+        evaluate(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.05)
 
 
 @pytest.mark.parametrize("x2", [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12])
 def test_guard_refuses_the_singular_set(x2):
-    table = CompiledPolySet(_deformed_polys(Rational(1, 20)))
+    evaluate = compile_polys(_deformed_polys(Rational(1, 20)))
     with pytest.raises(SingularState, match="x2"):
-        table.evaluate(1.0, x2, 0.0, 0.0, 0.0, 0.0, 1.0, 0.05)
+        evaluate(1.0, x2, 0.0, 0.0, 0.0, 0.0, 1.0, 0.05)
 
 
 @pytest.mark.parametrize("x2", [2e-12, -2e-12])
 def test_guard_lets_nearby_points_through(x2):
     polys = _deformed_polys(Rational(1, 20))
     vals = [1.0, x2, 0.0, 0.0, 0.0, 0.0, 1.0, 0.05]
-    assert _bits(CompiledPolySet(polys).evaluate(*vals)) == _bits(interpret(polys, vals))
+    assert _bits(compile_polys(polys)(*vals)) == _bits(interpret(polys, vals))
 
 
 def test_alpha_zero_table_has_no_guard():
     # Folding alpha = 0 drops every negative power, and the guard with them.
     polys = _deformed_polys(Rational(0))
     vals = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
-    assert _bits(CompiledPolySet(polys).evaluate(*vals)) == _bits(interpret(polys, vals))
+    assert _bits(compile_polys(polys)(*vals)) == _bits(interpret(polys, vals))
 
 
 # -- the stepper right-hand sides --------------------------------------------
@@ -359,10 +358,10 @@ def test_dropped_kernels_are_freed_without_a_cyclic_collection():
     gc.disable()
     try:
         diag = compile_diagnostics(*_diagnostics_polys(True, 0.05), DEFAULT_LAMBDAS)
-        table = CompiledPolySet(_deformed_polys(Fraction(1, 20)))
+        evaluate = compile_polys(_deformed_polys(Fraction(1, 20)))
         flows = _flows(True, 0.05)
-        refs = [weakref.ref(diag), weakref.ref(table.evaluate), *map(weakref.ref, flows)]
-        del diag, table, flows
+        refs = [weakref.ref(diag), weakref.ref(evaluate), *map(weakref.ref, flows)]
+        del diag, evaluate, flows
         assert [ref() for ref in refs] == [None] * 5
     finally:
         gc.enable()

@@ -160,9 +160,9 @@ def test_shared_matrices_are_read_only():
     shared += [getattr(lax_matrices(deformed), name) for deformed in (False, True) for name in ("L", "U1", "U2")]
     for matrix in shared:
         entries = matrix.entries()
-        with pytest.raises(AttributeError, match="read-only"):
+        with pytest.raises(AttributeError, match="cannot assign to field 'e11'"):
             matrix.e11 = matrix.e11 + 1
-        with pytest.raises(AttributeError, match="read-only"):
+        with pytest.raises(AttributeError, match="cannot delete field 'e22'"):
             del matrix.e22
         assert matrix.entries() == entries
     assert (run_checks(), potential(70)) == before

@@ -252,9 +252,14 @@ class TestSignConvention:
 
 class TestSpectralCurve:
     def test_matches_independent_construction(self):
-        # Oracle: the quintic assembled from the Hamiltonians themselves.
-        hams = hamiltonians(False)
-        expected = 2 * lam**5 - 2 * hams.h1 * lam**2 - 2 * hams.h2 * lam + HALF * alpha
+        # Oracle: the quintic assembled from the autonomous pair written out
+        # term by term, so no coefficient is read back from the curve.
+        h1 = HALF * p1**2 + HALF * p2**2 + x1**3 + HALF * x1 * x2**2 + alpha / x2**2
+        h2 = (
+            HALF * x2 * p1 * p2 - HALF * x1 * p2**2
+            + Rational(1, 4) * x1**2 * x2**2 + Rational(1, 16) * x2**4 - alpha * x1 / x2**2
+        )
+        expected = 2 * lam**5 - 2 * h1 * lam**2 - 2 * h2 * lam + HALF * alpha
         assert spectral_curve(False) == expected
 
     def test_leading_coefficient(self):
