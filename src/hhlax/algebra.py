@@ -508,16 +508,22 @@ def poisson_bracket(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return acc
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PolyMatrix2:
     """2x2 matrix with Laurent-polynomial entries.
 
     The entries are read-only: the model shares its matrices (the Lax
     triples and the recursion matrices) with every caller, so none may
-    change them for the others.  A frozen slotted dataclass provides that,
-    together with equality and a hash by the entries, copies and pickling;
-    an int or Fraction entry is coerced to a constant polynomial.
+    change them for the others.  A frozen dataclass with slots provides
+    that, together with equality and a hash by the entries, and `__reduce__`
+    gives copies and pickling; an int or Fraction entry is coerced to a
+    constant polynomial.
     """
+
+    # Written out: `slots=True` rebuilds the class, and on CPython 3.11 the
+    # generated __setattr__ then fails on a new name with TypeError in place
+    # of FrozenInstanceError.
+    __slots__ = ("e11", "e12", "e21", "e22")
 
     e11: LaurentPoly
     e12: LaurentPoly
@@ -529,6 +535,11 @@ class PolyMatrix2:
             entry = getattr(self, name)
             if not isinstance(entry, LaurentPoly):
                 object.__setattr__(self, name, _require_poly(entry))
+
+    def __reduce__(self):
+        # Copies and pickles go through __init__: the frozen __setattr__
+        # refuses to restore slot state.
+        return PolyMatrix2, self.entries()
 
     @classmethod
     def identity(cls) -> "PolyMatrix2":

@@ -23,11 +23,12 @@ itself.  A run keeps no shared mutable state, so independent integrations
 may proceed in parallel.
 
 Bad input is a `ValueError` raised where the value is made: `PhaseState`,
-`TimePoint` and `IntegratorConfig` hold finite numbers only, so the functions
-below check no number again (a raw alpha goes through `IntegratorConfig`);
-`check_reparametrization_numeric` checks its mu samples itself.
-An int state, time or duration becomes a float where a run starts, so every
-cell of a trajectory row is a float.
+`TimePoint` and `IntegratorConfig` check that each number is finite and then
+store it as the float the kernels use, so the functions below neither check
+nor convert a number again (a raw alpha goes through `IntegratorConfig`);
+`check_reparametrization_numeric` checks its mu samples itself.  A number
+becomes a float where it is checked, so every cell of a trajectory row is a
+float and two lambda samples are distinct exactly when their floats are.
 """
 
 from __future__ import annotations
@@ -94,9 +95,20 @@ def _is_finite(number: float) -> bool:
         return False
 
 
-def _require_finite(what: str, value, numbers: Iterable[float]) -> None:
+def _finite_floats(what: str, value, numbers: Iterable) -> tuple[float, ...]:
+    """`numbers` as floats, once each is found finite; the `ValueError` names
+    `what` and `value` as given.  The check comes first, so a str is still
+    refused (by `math.isfinite`, with `TypeError`) where `float` takes it."""
+    numbers = tuple(numbers)
     if not all(map(_is_finite, numbers)):
         raise ValueError(f"{what} must be finite, got {value!r}")
+    return tuple(map(float, numbers))
+
+
+def _store_floats(what: str, point) -> None:
+    """Check every field of the frozen `point` and store it as its float.
+    A frozen dataclass refuses setattr, so the floats go into `vars(point)`."""
+    vars(point).update(zip(list(vars(point)), _finite_floats(what, point, vars(point).values())))
 
 
 def _checked_duration(duration: float) -> float:
@@ -116,7 +128,7 @@ class PhaseState:
     p2: float
 
     def __post_init__(self):
-        _require_finite("state", self, vars(self).values())
+        _store_floats("state", self)
 
 
 @dataclass(frozen=True)
@@ -127,7 +139,7 @@ class TimePoint:
     t2: float
 
     def __post_init__(self):
-        _require_finite("time", self, vars(self).values())
+        _store_floats("time", self)
 
 
 @dataclass(frozen=True)
@@ -145,10 +157,7 @@ class Path:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[float]]) -> "Path":
-        try:
-            return cls(tuple(TimePoint(float(a), float(b)) for a, b in pairs))
-        except OverflowError:
-            raise ValueError("time must be finite, got a number too large for a float") from None
+        return cls(tuple(TimePoint(a, b) for a, b in pairs))
 
     def segments(self) -> Iterable[tuple[TimePoint, TimePoint]]:
         return zip(self.waypoints, self.waypoints[1:])
@@ -160,7 +169,8 @@ class IntegratorConfig:
 
     `max_step` doubles as the fixed step of the rk4-fixed method.  `lambdas`
     are the spectral-parameter samples for the eigenvalue diagnostics, each
-    finite and no two equal.
+    finite and no two equal as floats.  Every number is stored as its float,
+    `lambdas` as a tuple of them.
     """
 
     method: str = "rk45-adaptive"
@@ -176,11 +186,13 @@ class IntegratorConfig:
         # A NaN max_step never advances the stepper, and an infinite
         # tolerance accepts any step.
         for name in ("abs_tol", "rel_tol", "max_step", "alpha"):
-            _require_finite(name, getattr(self, name), [getattr(self, name)])
-        _require_finite("lambdas", self.lambdas, self.lambdas)
-        # Each sample names its own pair of columns; 0.0 and -0.0 are one.
-        if len(set(self.lambdas)) != len(self.lambdas):
-            raise ValueError(f"lambda samples must be distinct, got {tuple(self.lambdas)!r}")
+            (vars(self)[name],) = _finite_floats(name, getattr(self, name), [getattr(self, name)])
+        given = self.lambdas
+        vars(self)["lambdas"] = lambdas = _finite_floats("lambdas", given, given)
+        # Each sample names its own pair of columns; 0.0 and -0.0 are one,
+        # and so are two numbers with one float.
+        if len(set(lambdas)) != len(lambdas):
+            raise ValueError(f"lambda samples must be distinct, got {tuple(given)!r}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_step <= 0:
@@ -238,7 +250,7 @@ def _lambda_label(lam: float) -> str:
     """`lam` to 6 significant digits when that reads back as `lam`, else its
     round-trip repr, so that distinct lambdas never share a column name."""
     text = f"{lam:g}"
-    return text if float(text) == lam else repr(float(lam))
+    return text if float(text) == lam else repr(lam)
 
 
 class _Samples(Sequence[TrajectorySample]):
@@ -361,14 +373,6 @@ def _diagnostics(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> Di
         return compile_diagnostics(*_fold(alpha, (hams.h1, hams.h2, spectral_curve(deformed))), lambdas)
 
 
-def _initial_state(state: PhaseState) -> State4:
-    return (float(state.x1), float(state.x2), float(state.p1), float(state.p2))
-
-
-def _initial_time(t: TimePoint) -> tuple[float, float]:
-    return (float(t.t1), float(t.t2))
-
-
 def flow_rhs(
     deformed: bool, k: int, state: PhaseState, t: TimePoint, alpha: float
 ) -> tuple[float, float, float, float]:
@@ -378,8 +382,8 @@ def flow_rhs(
     the model layer by construction.
     """
     index = _flow_index(k)
-    flow = _flows(deformed, float(IntegratorConfig(alpha=alpha).alpha))[index]
-    return flow(0.0, *_initial_state(state), *_initial_time(t))
+    flow = _flows(deformed, IntegratorConfig(alpha=alpha).alpha)[index]
+    return flow(0.0, state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
 
 
 # RK4 and DP45, generated when the first integration asks for them and then
@@ -410,8 +414,8 @@ def snapshot(
     deformed: bool, state: PhaseState, t: TimePoint, cfg: IntegratorConfig = IntegratorConfig()
 ) -> Trajectory:
     """Single-sample trajectory: the diagnostics of one (state, t) point."""
-    diag = _diagnostics(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
-    return Trajectory([diag(0.0, *_initial_time(t), _initial_state(state))], cfg.lambdas)
+    diag = _diagnostics(deformed, cfg.alpha, cfg.lambdas)
+    return Trajectory([diag(0.0, t.t1, t.t2, tuple(vars(state).values()))], cfg.lambdas)
 
 
 def integrate_autonomous(
@@ -423,10 +427,10 @@ def integrate_autonomous(
     accepted step; for the autonomous system all of them are conserved.
     """
     index = _flow_index(k)
-    y0, duration = _initial_state(state0), _checked_duration(duration)
+    y0, duration = tuple(vars(state0).values()), _checked_duration(duration)
     _check_step_budget(duration, cfg.max_step)
-    flow = _flows(False, float(cfg.alpha))[index]
-    diag = _diagnostics(False, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
+    flow = _flows(False, cfg.alpha)[index]
+    diag = _diagnostics(False, cfg.alpha, cfg.lambdas)
     steps = _integrate_ode(flow, duration, y0, cfg)
     return Trajectory([diag(s, s if k == 1 else 0.0, s if k == 2 else 0.0, y) for s, y in steps], cfg.lambdas)
 
@@ -447,15 +451,15 @@ def integrate_pfaffian(
     """
     if path.waypoints[0] != t0:
         raise ValueError("path must start at t0")
-    y = _initial_state(state0)
+    y = tuple(vars(state0).values())
     # The budget bounds the whole path, so no number of segments asks for
     # more steps than one span may take.
     _check_step_budget(sum(math.hypot(b.t1 - a.t1, b.t2 - a.t2) for a, b in path.segments()), cfg.max_step)
-    segment = _flows(deformed, float(cfg.alpha))[2]
-    diag = _diagnostics(deformed, float(cfg.alpha), tuple(map(float, cfg.lambdas)))
+    segment = _flows(deformed, cfg.alpha)[2]
+    diag = _diagnostics(deformed, cfg.alpha, cfg.lambdas)
 
     s_offset = 0.0
-    raw: list[tuple[float, float, float, State4]] = [(0.0, *_initial_time(t0), y)]
+    raw: list[tuple[float, float, float, State4]] = [(0.0, t0.t1, t0.t2, y)]
     for start, stop in path.segments():
         d1, d2 = stop.t1 - start.t1, stop.t2 - start.t2
         length = math.hypot(d1, d2)
@@ -522,6 +526,6 @@ def check_reparametrization_numeric(
         except OverflowError:
             raise ValueError(f"lambda = exp(2 mu) overflows a float at mu = {mu!r}") from None
         residuals = [abs((p - m) / (2 * _FD_STEP) - e) for p, m, e in zip(plus[:4], minus[:4], exact[4:])]
-        _require_finite(f"the residuals at mu = {mu!r}", residuals, residuals)
+        _finite_floats(f"the residuals at mu = {mu!r}", residuals, residuals)
         worst = max(worst, *residuals)
     return worst

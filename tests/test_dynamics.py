@@ -417,10 +417,14 @@ class TestConfigAndExport:
         with pytest.raises(ValueError):
             IntegratorConfig(max_step=-1.0)
 
-    @pytest.mark.parametrize("lambdas", [(0.5, 0.5), (0.5, 1.0, 0.5), (0.0, -0.0)])
+    @pytest.mark.parametrize(
+        "lambdas",
+        [(0.5, 0.5), (0.5, 1.0, 0.5), (0.0, -0.0), (0.1, Fraction(1, 10)), (2**53, 2**53 + 1)],
+    )
     def test_repeated_lambda_samples_are_refused(self, lambdas):
         # Each sample names a pair of columns, so a repeated sample would
-        # give two pairs one name; 0.0 and -0.0 are one sample.
+        # give two pairs one name; 0.0 and -0.0 are one sample, and so are
+        # two numbers that round to one float.
         with pytest.raises(ValueError, match="lambda samples must be distinct"):
             IntegratorConfig(lambdas=lambdas)
 
@@ -429,6 +433,26 @@ class TestConfigAndExport:
             Path((ORIGIN,))
         with pytest.raises(ValueError):
             Path((ORIGIN, ORIGIN))
+        # Two waypoints with one float are one waypoint: a segment of length 0.
+        with pytest.raises(ValueError, match="consecutive waypoints must be distinct"):
+            Path((TimePoint(0.1, 0.0), TimePoint(Fraction(1, 10), 0)))
+
+    def test_numbers_are_stored_as_the_floats_the_kernels_use(self):
+        state, t = PhaseState(1, 1, 0, 0), TimePoint(0, 0)
+        cfg = IntegratorConfig(alpha=0, lambdas=(Fraction(1, 3), 1))
+        numbers = [*astuple(state), *astuple(t), cfg.abs_tol, cfg.rel_tol, cfg.max_step, cfg.alpha, *cfg.lambdas]
+        assert all(type(number) is float for number in numbers)
+        assert type(cfg.lambdas) is tuple and cfg.lambdas == (1 / 3, 1.0)
+        listed = IntegratorConfig(lambdas=[0.5, 1.0])
+        assert hash(listed) == hash(IntegratorConfig(lambdas=(0.5, 1.0)))
+        trajectory = snapshot(False, REFERENCE, ORIGIN, cfg)
+        third = repr(1 / 3)
+        assert trajectory.column_names()[9:] == [f"eig_re_{third}", f"eig_im_{third}", "eig_re_1", "eig_im_1"]
+        buffer = io.StringIO()
+        trajectory.write_csv(buffer)
+        header, row = buffer.getvalue().splitlines()
+        assert header.split(",") == trajectory.column_names()
+        assert [repr(float(cell)) for cell in row.split(",")] == row.split(",")
 
     def test_csv_golden(self, golden_dir):
         trajectory = integrate_autonomous(1, REFERENCE, 0.0)
@@ -546,6 +570,14 @@ def test_non_finite_input_is_a_value_error(entry, bad, monkeypatch):
     monkeypatch.setattr(dynamics, "_diagnostics", no_model)
     with pytest.raises(ValueError, match="must be finite"):
         ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize("entry", [entry for entry in ENTRY_POINTS if entry[0].isupper()])
+def test_a_number_given_as_text_is_a_type_error(entry):
+    # The value types (the capitalised entries) check a number before they
+    # make it a float, so float("1") never runs.
+    with pytest.raises(TypeError):
+        ENTRY_POINTS[entry]("1")
 
 
 def test_each_entry_point_compiles_only_what_it_calls():
