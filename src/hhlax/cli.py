@@ -82,8 +82,7 @@ def _parse_bool(text: str) -> bool:
 def _add_integrator_arguments(parser: argparse.ArgumentParser) -> None:
     # No defaults here: a setting left out is IntegratorConfig's default.
     parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--abs-tol", type=float)
-    parser.add_argument("--rel-tol", type=float)
+    parser.add_argument("--tol", type=float)
     parser.add_argument("--max-step", type=float)
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--lambdas", help="spectral-parameter samples, comma separated")

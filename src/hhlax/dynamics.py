@@ -95,13 +95,21 @@ def _is_finite(number: float) -> bool:
         return False
 
 
+def _shown(value, numbers: Sequence) -> str:
+    """repr(value), or the bit length of the first of `numbers` that is an
+    int no float can hold: its digits would fill the message, and past 4300
+    of them CPython refuses to write it at all."""
+    huge = [number for number in numbers if isinstance(number, int) and not _is_finite(number)]
+    return f"an int of {huge[0].bit_length()} bits" if huge else repr(value)
+
+
 def _finite_floats(what: str, value, numbers: Iterable) -> tuple[float, ...]:
     """`numbers` as floats, once each is found finite; the `ValueError` names
     `what` and `value` as given.  The check comes first, so a str is still
     refused (by `math.isfinite`, with `TypeError`) where `float` takes it."""
     numbers = tuple(numbers)
     if not all(map(_is_finite, numbers)):
-        raise ValueError(f"{what} must be finite, got {value!r}")
+        raise ValueError(f"{what} must be finite, got {_shown(value, numbers)}")
     return tuple(map(float, numbers))
 
 
@@ -167,15 +175,15 @@ class Path:
 class IntegratorConfig:
     """Integration settings.
 
-    `max_step` doubles as the fixed step of the rk4-fixed method.  `lambdas`
+    `tol` is DP45's absolute and relative tolerance alike.  `max_step`
+    doubles as the fixed step of the rk4-fixed method.  `lambdas`
     are the spectral-parameter samples for the eigenvalue diagnostics, each
     finite and no two equal as floats.  Every number is stored as its float,
     `lambdas` as a tuple of them.
     """
 
     method: str = "rk45-adaptive"
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
+    tol: float = 1e-12
     max_step: float = 0.01
     alpha: float = 0.0
     lambdas: tuple[float, ...] = (0.5, 1.0, 2.0)
@@ -185,7 +193,7 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
         # A NaN max_step never advances the stepper, and an infinite
         # tolerance accepts any step.
-        for name in ("abs_tol", "rel_tol", "max_step", "alpha"):
+        for name in ("tol", "max_step", "alpha"):
             (vars(self)[name],) = _finite_floats(name, getattr(self, name), [getattr(self, name)])
         given = self.lambdas
         vars(self)["lambdas"] = lambdas = _finite_floats("lambdas", given, given)
@@ -193,8 +201,8 @@ class IntegratorConfig:
         # and so are two numbers with one float.
         if len(set(lambdas)) != len(lambdas):
             raise ValueError(f"lambda samples must be distinct, got {tuple(given)!r}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.max_step <= 0:
             raise ValueError("max_step must be positive")
 
@@ -404,7 +412,7 @@ def _integrate_ode(rhs: Rhs, s_end: float, y0: State4, cfg: IntegratorConfig) ->
     rk4, dp45 = _steppers()
     if cfg.method == "rk4-fixed":
         return rk4(rhs, s_end, y0, cfg.max_step)
-    return dp45(rhs, s_end, y0, cfg.abs_tol, cfg.rel_tol, cfg.max_step)
+    return dp45(rhs, s_end, y0, cfg.tol, cfg.max_step)
 
 
 # -- public integration ---------------------------------------------------
@@ -513,7 +521,7 @@ def check_reparametrization_numeric(
     `ValueError`.
     """
     if not mu_samples or not all(map(_is_finite, mu_samples)):
-        raise ValueError(f"mu samples must be finite and not empty, got {mu_samples!r}")
+        raise ValueError(f"mu samples must be finite and not empty, got {_shown(mu_samples, mu_samples)}")
     u_matrix = lax_matrices(True).flow_matrix(k)
     target_matrix = isomonodromy_deformation_term(u_matrix)
     # U_k is free of alpha and of negative powers, so its kernel has no guard.

@@ -339,10 +339,14 @@ def _update(step: str, weights: Sequence[float]) -> str:
 
 def compile_steppers() -> tuple[Callable[..., list], Callable[..., list]]:
     """`rk4(rhs, s_end, y0, max_step)`, in ceil(s_end / max_step) equal
-    steps, and `dp45(rhs, s_end, y0, abs_tol, rel_tol, max_step)`.  Both
+    steps, and `dp45(rhs, s_end, y0, tol, max_step)`.  Both
     integrate dy/ds = rhs(s, y1, y2, y3, y4) from s = 0 to s_end > 0 and
     return the accepted samples [(s, (y1, y2, y3, y4)), ...], endpoints
     included; a state that is not finite raises NonFiniteState.
+
+    DP45 uses `tol` as both its absolute and its relative tolerance: each
+    component's error is scaled by `tol + tol * max(|y|, |y_new|)`.  The
+    sum is kept, since `tol * (1 + max)` rounds otherwise.
 
     RK4 keeps its own steps h/2, h and h/6 times (a + 2b + 2c + d): a
     tableau's h times weights 1/2 and 1/6 would round otherwise.
@@ -354,7 +358,7 @@ def compile_steppers() -> tuple[Callable[..., list], Callable[..., list]]:
         for k, node, row in zip(_STAGES[1:], _DP45_C[1:], _DP45_A[1:])
     )
     errors = _each(
-        lambda j: f"h * ({_combination(_DP45_E, j)}) / (abs_tol + rel_tol * (m{j} if m{j} > u{j} else u{j}))"
+        lambda j: f"h * ({_combination(_DP45_E, j)}) / (tol + tol * (m{j} if m{j} > u{j} else u{j}))"
     )
     source = f"""from math import ceil, isfinite, sqrt
 
@@ -379,7 +383,7 @@ def rk4(rhs, s_end, y0, max_step):
     return samples
 
 
-def dp45(rhs, s_end, y0, abs_tol, rel_tol, max_step):
+def dp45(rhs, s_end, y0, tol, max_step):
     # Step-size control as in Hairer, Norsett & Wanner, Solving ODEs I,
     # section II.4: RMS error norm with mixed absolute/relative scale,
     # safety factor 0.9 and growth limited to [0.2, 5].  `max(a, b)` is

@@ -52,7 +52,7 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 def conservation_run():
     start = time.perf_counter()
     trajectory = integrate_autonomous(
-        1, REFERENCE, 2.0, IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12, alpha=0.0)
+        1, REFERENCE, 2.0, IntegratorConfig(tol=1e-12, alpha=0.0)
     )
     elapsed = time.perf_counter() - start
     return trajectory, elapsed

@@ -88,7 +88,7 @@ def test_float_layer_is_bit_identical():
 # model or of the code generators that should leave the generated code
 # alone leaves both.
 SOURCES = 19
-SOURCES_SHA256 = "6cdac668162c3576c2ae6409228fd3ccc79b9597ae480d7b1b5094f9092958f0"
+SOURCES_SHA256 = "28ed63b18b10db4c4eff5d096b4accbcedada73fa767088bff59985e99f6d3ca"
 
 
 def test_generated_sources_are_byte_identical(monkeypatch):

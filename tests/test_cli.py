@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, golden output, file exports."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -267,7 +269,7 @@ class TestSimulateCommand:
         out_file = tmp_path / "run.csv"
         code, _, err = run_cli(
             "simulate", "--flow", "t1", "--state", "1,1,0,0", "--duration", "0.1",
-            "--abs-tol", "1e-6", "--rel-tol", "1e-6", "--out", str(out_file), capsys=capsys,
+            "--tol", "1e-6", "--out", str(out_file), capsys=capsys,
         )
         assert code == 0, err
         with open(out_file) as stream:
@@ -293,6 +295,7 @@ class TestSimulateCommand:
 
 
 SIMULATE = ["simulate", "--flow", "t1", "--state", "1,1,0,0", "--duration", "1"]
+BAD_BOOLEAN = ["--deformed", "maybe"]
 
 
 @pytest.fixture
@@ -310,9 +313,9 @@ def no_integration(monkeypatch):
     [
         SIMULATE + ["--max-step", "nan"],
         SIMULATE + ["--max-step", "inf"],
-        SIMULATE + ["--abs-tol", "inf"],
-        SIMULATE + ["--rel-tol", "nan"],
-        SIMULATE + ["--abs-tol", "0"],
+        SIMULATE + ["--tol", "inf"],
+        SIMULATE + ["--tol", "nan"],
+        SIMULATE + ["--tol", "0"],
         SIMULATE + ["--alpha", "nan"],
         SIMULATE + ["--alpha=-inf"],
         SIMULATE + ["--lambdas", "1,inf"],
@@ -341,6 +344,10 @@ def no_integration(monkeypatch):
         ["pfaffian", "--waypoints", "0,0;6e3,0;0,0;6e3,0;0,0"],
         # An autonomous flow runs in its own time: a start time is refused.
         SIMULATE + ["--t0", "5,7"],
+        # A flag that is neither true nor false.
+        SIMULATE + BAD_BOOLEAN,
+        ["pfaffian", "--waypoints", "0,0;1,0", *BAD_BOOLEAN],
+        ["spectral", "--state", "1,1,0,0", *BAD_BOOLEAN],
     ],
 )
 def test_bad_number_exits_2(argv, tmp_path, capsys, no_integration):
@@ -350,6 +357,8 @@ def test_bad_number_exits_2(argv, tmp_path, capsys, no_integration):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    if BAD_BOOLEAN[1] in argv:
+        assert err == "error: expected a boolean, got 'maybe'\n"
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -685,3 +694,19 @@ def test_import_leaves_subcommand_modules_unloaded():
     result = run_python("-S", "-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# Flags the README names for other programs: pip and the benchmark runner.
+OTHER_PROGRAMS_FLAGS = {"--no-build-isolation", "--workload", "--seed", "--seconds", "--trace"}
+
+
+def test_readme_names_exactly_the_options_of_the_parser():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    (subcommands,) = [
+        action for action in cli._build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        flag for sub in subcommands.choices.values() for action in sub._actions for flag in action.option_strings
+    }
+    assert named - OTHER_PROGRAMS_FLAGS == options - {"-h", "--help"}

@@ -48,7 +48,7 @@ def step_control_run() -> Trajectory:
     """A deformed Pfaffian loop whose DP45 steps reach every branch of the
     step-size control: rejected steps, the 0.2 shrink floor, the 5x growth
     cap and the max_step cap (each segment starts at h = max_step)."""
-    cfg = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8, max_step=0.05, alpha=0.05)
+    cfg = IntegratorConfig(tol=1e-8, max_step=0.05, alpha=0.05)
     loop = Path.from_pairs([(0, 0), (0.69, 0), (0.69, 0.3), (0, 0.3), (0, 0)])
     return integrate_pfaffian(PhaseState(-0.9, 0.21, -0.09, -0.72), TimePoint(0.0, 0.0), loop, cfg)
 
