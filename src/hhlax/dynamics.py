@@ -44,11 +44,11 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import LaurentPoly, VarId
 from .kernels import (
-    NonFiniteState, SingularState, StepSizeUnderflow,
+    NonFiniteState, SingularState, StepSizeUnderflow, _finite_floats, _is_finite, _shown,
     compile_diagnostics, compile_flows, compile_polys, compile_steppers,
 )
 from .model import (
-    hamiltonian_vector_field,
+    _flow_index,
     hamiltonians,
     isomonodromy_deformation_term,
     lax_matrices,
@@ -86,31 +86,6 @@ METHODS = ("rk45-adaptive", "rk4-fixed")
 
 # (x1, x2, p1, p2), the stepper's working form of a PhaseState.
 State4 = tuple[float, float, float, float]
-
-
-def _is_finite(number: float) -> bool:
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _shown(value, numbers: Sequence) -> str:
-    """repr(value), or the bit length of the first of `numbers` that is an
-    int no float can hold: its digits would fill the message, and past 4300
-    of them CPython refuses to write it at all."""
-    huge = [number for number in numbers if isinstance(number, int) and not _is_finite(number)]
-    return f"an int of {huge[0].bit_length()} bits" if huge else repr(value)
-
-
-def _finite_floats(what: str, value, numbers: Iterable) -> tuple[float, ...]:
-    """`numbers` as floats, once each is found finite; the `ValueError` names
-    `what` and `value` as given.  The check comes first, so a str is still
-    refused (by `math.isfinite`, with `TypeError`) where `float` takes it."""
-    numbers = tuple(numbers)
-    if not all(map(_is_finite, numbers)):
-        raise ValueError(f"{what} must be finite, got {_shown(value, numbers)}")
-    return tuple(map(float, numbers))
 
 
 def _store_floats(what: str, point) -> None:
@@ -360,16 +335,8 @@ def _float_range(alpha: float):
 def _flows(deformed: bool, alpha: float) -> tuple[Flow, Flow, Segment]:
     """The generated right-hand sides of Y_1, Y_2 and of a path segment of
     one model, with alpha (a float) folded in."""
-    hams = hamiltonians(deformed)
     with _float_range(alpha):
-        return compile_flows(*(_fold(alpha, hamiltonian_vector_field(h).components) for h in (hams.h1, hams.h2)))
-
-
-def _flow_index(k: int) -> int:
-    """k - 1, the place of flow k in `_flows(...)`; k must be 1 or 2."""
-    if k not in (1, 2):
-        raise ValueError("flow index must be 1 or 2")
-    return k - 1
+        return compile_flows(*(_fold(alpha, field.components) for field in hamiltonians(deformed).fields))
 
 
 @lru_cache(maxsize=64)

@@ -54,7 +54,7 @@ an integration run:
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import LaurentPoly, VarId
 
@@ -88,6 +88,33 @@ class NonFiniteState(RuntimeError):
 class StepSizeUnderflow(RuntimeError):
     """The adaptive integrator could not meet the tolerance with any
     representable step (typically a finite-time blow-up)."""
+
+
+def _is_finite(number: float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _shown(value, numbers: Sequence) -> str:
+    """repr(value), or the bit length of the first of `numbers` that is an
+    int no float can hold: its digits would fill the message, and past 4300
+    of them CPython refuses to write it at all."""
+    huge = [number for number in numbers if isinstance(number, int) and not _is_finite(number)]
+    return f"an int of {huge[0].bit_length()} bits" if huge else repr(value)
+
+
+def _finite_floats(what: str, value, numbers: Iterable) -> tuple[float, ...]:
+    """`numbers` as floats, once each is found finite; the `ValueError` names
+    `what` and `value` as given.  The check comes first, so a str is still
+    refused (by `math.isfinite`, with `TypeError`) where `float` takes it.
+    The one finiteness rule of the float layer: `hhlax.dynamics` checks its
+    inputs with it too."""
+    numbers = tuple(numbers)
+    if not all(map(_is_finite, numbers)):
+        raise ValueError(f"{what} must be finite, got {_shown(value, numbers)}")
+    return tuple(map(float, numbers))
 
 
 def _chain(mono: Sequence[int], names: Sequence[str]) -> str:
@@ -249,15 +276,14 @@ def compile_diagnostics(
     det L is real, so each eigenvalue cell pair is `(sqrt(-d), 0.0)` or
     `(0.0, sqrt(d))`, computed with `math.sqrt` unless |d| <= 1e-300.
     """
-    if not all(map(math.isfinite, lambdas)):
-        raise ValueError(f"lambda samples must be finite, got {tuple(lambdas)!r}")
+    lambdas = _finite_floats("lambda samples", tuple(lambdas), lambdas)
     if any(p.depends_on(VarId.ALPHA) for p in (h1, h2, det)) or any(
         p.depends_on(VarId.LAMBDA) for p in (h1, h2)
     ):
         raise ValueError("h1 and h2 depend on x and t only, det L also on lambda; fold alpha first")
     if det.degree_range(VarId.LAMBDA)[0] < 0:
         raise ValueError("det L has a negative power of lambda; the samples need a polynomial in lambda")
-    lams = [repr(float(lam)) for lam in lambdas]
+    lams = list(map(repr, lambdas))
     # The generated module imports cmath itself, so that processes that
     # never build diagnostics (the exact checks) do not load it.
     lines = ["from cmath import sqrt as csqrt", "from math import isfinite, sqrt"]

@@ -18,7 +18,7 @@ step is the companion matrix of B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import LaurentPoly, PolyMatrix2, Rational, VarId, poisson_bracket
 
@@ -71,6 +71,12 @@ class HamiltonianSet:
     h2: LaurentPoly
     deformed: bool
 
+    @cached_property
+    def fields(self) -> tuple[VectorField4, VectorField4]:
+        """(Y_H1, Y_H2), built on first use and freed with the set, so the
+        genuine sets of `hamiltonians` keep their fields' derivative memos."""
+        return hamiltonian_vector_field(self.h1), hamiltonian_vector_field(self.h2)
+
 
 @dataclass(frozen=True)
 class VectorField4:
@@ -92,15 +98,23 @@ class VectorField4:
     def __sub__(self, other: "VectorField4") -> "VectorField4":
         return VectorField4(tuple(a - b for a, b in zip(self.components, other.components)))
 
-    def __neg__(self) -> "VectorField4":
-        return VectorField4(tuple(-component for component in self.components))
-
     def partial(self, var: VarId) -> "VectorField4":
         """Component-wise partial derivative (used for the t-derivatives)."""
         return VectorField4(tuple(component.diff(var) for component in self.components))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(component) for component in self.components) + ")"
+
+
+def _flow_index(k: int) -> int:
+    """k - 1, the place of flow k in every (flow 1, flow 2) pair, for the
+    int k = 1 or 2.  Any other int is a `ValueError`, and any other k (a
+    float, a bool) a `TypeError`, as for `potential`."""
+    if type(k) is not int:
+        raise TypeError(f"flow index must be an int, got {k!r}")
+    if k not in (1, 2):
+        raise ValueError("flow index must be 1 or 2")
+    return k - 1
 
 
 @dataclass(frozen=True)
@@ -113,11 +127,8 @@ class LaxTriple:
     deformed: bool
 
     def flow_matrix(self, k: int) -> PolyMatrix2:
-        if k == 1:
-            return self.U1
-        if k == 2:
-            return self.U2
-        raise ValueError("flow index must be 1 or 2")
+        """U_k, for a k that `_flow_index` takes."""
+        return (self.U1, self.U2)[_flow_index(k)]
 
 
 @lru_cache(maxsize=None)
@@ -258,11 +269,10 @@ def hamiltonians(deformed: bool = False) -> HamiltonianSet:
     return HamiltonianSet(-_HALF * coefficients[2], -_HALF * coefficients[1] - killing, deformed)
 
 
-@lru_cache(maxsize=64)
 def hamiltonian_vector_field(hamiltonian: LaurentPoly) -> VectorField4:
     """Y_H, whose component along coordinate v is {v, H}: the flow of H
-    moves every function f as {f, H}.  Built once for each of the last 64
-    Hamiltonians, so its negated components keep their derivative memo."""
+    moves every function f as {f, H}.  Built anew on each call; the fields
+    of a Hamiltonian pair are kept on it, as `HamiltonianSet.fields`."""
     return VectorField4(tuple(poisson_bracket(v, hamiltonian) for v in (x1, x2, p1, p2)))
 
 

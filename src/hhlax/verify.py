@@ -121,8 +121,7 @@ def check_frobenius(hams: HamiltonianSet | None = None) -> IdentityReport:
 def check_zero_curvature(hams: HamiltonianSet | None = None) -> IdentityReport:
     """dY1/dt2 - dY2/dt1 + [Y2, Y1] must be the zero vector field."""
     hams = hams or hamiltonians(True)
-    field1 = hamiltonian_vector_field(hams.h1)
-    field2 = hamiltonian_vector_field(hams.h2)
+    field1, field2 = hams.fields
     residual = field1.partial(VarId.T2) - field2.partial(VarId.T1) + lie_bracket(field2, field1)
     return IdentityReport("zero_curvature", residual, residual.is_zero)
 
@@ -173,8 +172,7 @@ def check_isomonodromic_lax(
 def check_sign_convention(hams: HamiltonianSet | None = None) -> IdentityReport:
     """Hamiltonian field of {H1, H2} must equal -[Y_{H1}, Y_{H2}]."""
     hams = hams or hamiltonians(True)
-    field1 = hamiltonian_vector_field(hams.h1)
-    field2 = hamiltonian_vector_field(hams.h2)
+    field1, field2 = hams.fields
     residual = hamiltonian_vector_field(poisson_bracket(hams.h1, hams.h2)) + lie_bracket(field1, field2)
     return IdentityReport("sign_convention", residual, residual.is_zero)
 

@@ -1,6 +1,7 @@
 """Every committed benchmark record says what it measured, against what, on
 which machine, and with which commands, for every workload of the
-benchmark: a number with no command does not count."""
+benchmark: a number with no command does not count.  The README names
+every record."""
 
 import json
 from pathlib import Path
@@ -27,3 +28,9 @@ def test_bench_file_is_complete(path):
     # bypasses included.
     for workload in WORKLOADS:
         assert record.get("workloads", {}).get(workload), f"{path.name}: workload '{workload}' is missing"
+
+
+def test_readme_names_every_bench_file():
+    # The README's Benchmark section lists every record, so none is missed.
+    readme = (ROOT / "README.md").read_text()
+    assert [path.name for path in BENCH_FILES if path.name not in readme] == []

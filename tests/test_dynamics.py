@@ -126,12 +126,21 @@ class TestAutonomousIntegration:
         with pytest.raises(ValueError):
             integrate_autonomous(3, REFERENCE, 1.0)
 
-    @pytest.mark.parametrize("k", [0, 3])
-    def test_flow_index_is_refused_first(self, k):
-        # The index is checked before the duration is, by both entry points.
-        with pytest.raises(ValueError, match="flow index must be 1 or 2"):
+    @pytest.mark.parametrize(
+        "k, error, message",
+        [
+            pytest.param(0, ValueError, "flow index must be 1 or 2", id="0"),
+            pytest.param(3, ValueError, "flow index must be 1 or 2", id="3"),
+            pytest.param(1.0, TypeError, "flow index must be an int, got 1.0", id="1.0"),
+            pytest.param(True, TypeError, "flow index must be an int, got True", id="True"),
+        ],
+    )
+    def test_flow_index_is_refused_first(self, k, error, message):
+        # The index is checked before the duration is, by both entry points;
+        # a float or a bool is no flow index, not even 1.0 or True.
+        with pytest.raises(error, match=message):
             integrate_autonomous(k, REFERENCE, -1.0)
-        with pytest.raises(ValueError, match="flow index must be 1 or 2"):
+        with pytest.raises(error, match=message):
             flow_rhs(False, k, REFERENCE, ORIGIN, 0.0)
 
     def test_rk4_fixed_matches_adaptive(self):

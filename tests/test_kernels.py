@@ -6,6 +6,7 @@ import cmath
 import gc
 import math
 import random
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -328,12 +329,14 @@ def test_eigenvalue_cells_match_cmath_sqrt_bit_for_bit(d):
     assert _bits(row[9:]) == _bits([root.real, root.imag] * len(lambdas))
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, pytest.param(10**5000, id="huge-int")])
 def test_diagnostics_refuse_a_non_finite_lambda(bad):
     # The samples become literals of the generated source, so a det L with a
     # negative power of lambda, whose guard would test a literal, is refused.
+    # An int no float can hold is named by its bit length, not its digits.
     h1, h2, det = _diagnostics_polys(False, 0.0)
-    with pytest.raises(ValueError, match="lambda samples must be finite"):
+    shown = "an int of 16610 bits" if isinstance(bad, int) else repr((0.5, bad))
+    with pytest.raises(ValueError, match=re.escape(f"lambda samples must be finite, got {shown}") + "$"):
         compile_diagnostics(h1, h2, det, (0.5, bad))
     with pytest.raises(ValueError, match="negative power of lambda"):
         compile_diagnostics(h1, h2, det + lam**-1, (0.5,))

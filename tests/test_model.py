@@ -1,6 +1,7 @@
 """Model objects: potentials, Hamiltonians, vector fields, Lax matrices."""
 
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hhlax import model
 from hhlax.algebra import DivisionByZero, LaurentPoly, N_VARS, PolyMatrix2, Rational, VarId, poisson_bracket
 from hhlax.model import (
+    HamiltonianSet,
     VectorField4,
     deformation_coefficients,
     derivative_along,
@@ -20,7 +22,7 @@ from hhlax.model import (
     recursion_matrix_inverse,
     spectral_curve,
 )
-from hhlax.verify import run_checks
+from hhlax.verify import check_zero_curvature, run_checks
 
 x1, x2, p1, p2, t1, t2, lam, alpha = LaurentPoly.gens()
 HALF = Rational(1, 2)
@@ -249,9 +251,20 @@ class TestVectorFields:
         )
         assert combined == split
 
-    def test_field_is_built_once_per_hamiltonian(self):
-        h = hamiltonians(True).h2
-        assert hamiltonian_vector_field(h) is hamiltonian_vector_field(h + 0)
+    def test_fields_are_built_once_per_set(self):
+        hams = hamiltonians(True)
+        assert hams.fields is hamiltonians(True).fields
+        assert hams.fields == (hamiltonian_vector_field(hams.h1), hamiltonian_vector_field(hams.h2))
+
+    def test_fields_are_freed_with_their_set(self):
+        # The fields of a set built from a corrupted h1 live on that set
+        # alone: once the set is dropped, nothing holds them.
+        genuine = hamiltonians(True)
+        corrupted = HamiltonianSet(genuine.h1 + Rational(1, 10) * x1**3, genuine.h2, True)
+        assert not check_zero_curvature(corrupted).passed
+        field = weakref.ref(corrupted.fields[0])
+        del corrupted
+        assert field() is None
 
     def test_warm_checks_miss_no_derivative_memo(self, monkeypatch):
         # Every polynomial a warm run differentiates was differentiated by
@@ -601,7 +614,7 @@ class TestLieBracket:
         field1 = hamiltonian_vector_field(hams.h1)
         field2 = hamiltonian_vector_field(hams.h2)
         lhs = hamiltonian_vector_field(poisson_bracket(hams.h1, hams.h2))
-        assert lhs == -lie_bracket(field1, field2)
+        assert lhs.components == tuple(-c for c in lie_bracket(field1, field2).components)
 
 
 _coefficients = st.builds(
@@ -620,7 +633,7 @@ _fields = st.tuples(_phase_polys, _phase_polys, _phase_polys, _phase_polys).map(
 @settings(max_examples=25)
 @given(_fields, _fields)
 def test_lie_bracket_antisymmetry(a, b):
-    assert lie_bracket(a, b) == -lie_bracket(b, a)
+    assert lie_bracket(a, b).components == tuple(-c for c in lie_bracket(b, a).components)
 
 
 @settings(max_examples=15, deadline=None)

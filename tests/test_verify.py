@@ -148,8 +148,15 @@ class TestIsospectralLax:
         assert not report.passed
 
     def test_rejects_bad_flow_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="flow index must be 1 or 2"):
             check_isospectral_lax(3)
+        # U1 under another name: a float or a bool is refused, as the rung
+        # index of `potential` is.
+        for k in (1.0, True):
+            with pytest.raises(TypeError, match=f"flow index must be an int, got {k!r}"):
+                check_isospectral_lax(k)
+            with pytest.raises(TypeError, match=f"flow index must be an int, got {k!r}"):
+                lax_matrices(False).flow_matrix(k)
 
 
 class TestLaxDefect:
