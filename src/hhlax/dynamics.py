@@ -127,11 +127,16 @@ class TimePoint:
 
 @dataclass(frozen=True)
 class Path:
-    """Piecewise-linear route in the (t1, t2) plane."""
+    """Piecewise-linear route in the (t1, t2) plane, through `TimePoint`s
+    stored as a tuple; pairs of numbers go through `from_pairs`."""
 
     waypoints: tuple[TimePoint, ...]
 
     def __post_init__(self):
+        vars(self)["waypoints"] = tuple(self.waypoints)
+        for point in self.waypoints:
+            if not isinstance(point, TimePoint):
+                raise TypeError(f"a waypoint must be a TimePoint, got {point!r}; pairs go through Path.from_pairs")
         if len(self.waypoints) < 2:
             raise ValueError("a path needs at least 2 waypoints")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
@@ -331,7 +336,7 @@ def _float_range(alpha: float):
         raise ValueError(f"alpha = {alpha!r} is too large for the float kernels") from exc
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _flows(deformed: bool, alpha: float) -> tuple[Flow, Flow, Segment]:
     """The generated right-hand sides of Y_1, Y_2 and of a path segment of
     one model, with alpha (a float) folded in."""
@@ -339,7 +344,7 @@ def _flows(deformed: bool, alpha: float) -> tuple[Flow, Flow, Segment]:
         return compile_flows(*(_fold(alpha, field.components) for field in hamiltonians(deformed).fields))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _diagnostics(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> Diagnostics:
     """The generated diagnostics row of one model, alpha and set of lambda
     samples (floats), with alpha folded in."""

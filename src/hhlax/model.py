@@ -219,17 +219,25 @@ def _polynomial_part(entry: LaurentPoly) -> LaurentPoly:
     return sum(c * lam**n for n, c in entry.coefficients_in(VarId.LAMBDA).items() if n >= 0)
 
 
-@lru_cache(maxsize=None)
-def lax_matrices(deformed: bool = False) -> LaxTriple:
-    """The Lax matrix L(lambda) = [[A, B], [C, -A]] and flow matrices U1, U2.
+@lru_cache(maxsize=None, typed=True)
+def lax_matrices(deformed: bool, /) -> LaxTriple:
+    """The Lax matrix L(lambda) = [[A, B], [C, -A]] and flow matrices U1, U2
+    of the autonomous model (`False`) or the deformed one (`True`).
 
     L comes from the curve's H-free part f0 = 2 lambda^5 + 2 c3 lambda^4
     + 2 c2 lambda^3 + alpha/2 by one long division (`_lax`), and
     U_k = (L / (2 lambda^(3-k)))_+ + b_k E21, where ( )_+ keeps the
     nonnegative powers of lambda.  Time enters only through the deformation
     coefficients c2, c3, so at t1 = t2 = 0 the deformed triple is the
-    autonomous one.  Built once and shared.
+    autonomous one.  Built once per model and shared.
+
+    Every model object is derived from L, so the rule of the model flag
+    lives here: `deformed`, passed by position, must be a bool, and any
+    other value (`1`, `0.0`, `"false"`, `None`) is a `TypeError`.  The
+    model caches are typed, so such a value never hits a bool's entry.
     """
+    if type(deformed) is not bool:
+        raise TypeError(f"model flag must be a bool, got {deformed!r}")
     c2, c3 = deformation_coefficients() if deformed else (0, 0)
     big_l = _lax(2 * lam**5 + 2 * c3 * lam**4 + 2 * c2 * lam**3 + _HALF * alpha)
     shifted = (big_l * (_HALF * lam ** (k - 3)) for k in (1, 2))
@@ -237,8 +245,7 @@ def lax_matrices(deformed: bool = False) -> LaxTriple:
     return LaxTriple(big_l, u1, u2, deformed)
 
 
-@lru_cache(maxsize=None)
-def spectral_curve(deformed: bool = False) -> LaurentPoly:
+def spectral_curve(deformed: bool, /) -> LaurentPoly:
     """The spectral curve f(lambda) = det L(lambda) of each model:
 
         2 lambda^5 + 2 c3 lambda^4 + 2 c2 lambda^3 - 2 H1 lambda^2
@@ -247,22 +254,26 @@ def spectral_curve(deformed: bool = False) -> LaurentPoly:
     with the deformation coefficients c2 = t1 + 3 t2^2, c3 = 3 t2 and the
     Killing term kappa = p1 for the deformed model, all zero for the
     autonomous one.  Only the H-free part is written down (`lax_matrices`);
-    det L supplies the rest.  Built once and shared.  Every
-    lambda-coefficient of the autonomous curve Poisson-commutes with both
-    Hamiltonians, and the eigenvalue pair of L is +-sqrt(-f).
+    det L supplies the rest.  Not cached: each call takes det L of the
+    shared L afresh, and a flag that is not a bool is `lax_matrices`'
+    `TypeError`.  Every lambda-coefficient of the autonomous curve
+    Poisson-commutes with both Hamiltonians, and the eigenvalue pair of L
+    is +-sqrt(-f).
     """
     return lax_matrices(deformed).L.det()
 
 
-@lru_cache(maxsize=None)
-def hamiltonians(deformed: bool = False) -> HamiltonianSet:
-    """The commuting extended Henon-Heiles pair, optionally deformed, read
-    off the spectral curve: H1 = -[lambda^2]/2 and H2 = -[lambda^1]/2 -
-    kappa, where kappa = p1 is the deformed model's Killing term.
+@lru_cache(maxsize=None, typed=True)
+def hamiltonians(deformed: bool, /) -> HamiltonianSet:
+    """The commuting extended Henon-Heiles pair, autonomous (`False`) or
+    deformed (`True`), read off the spectral curve: H1 = -[lambda^2]/2 and
+    H2 = -[lambda^1]/2 - kappa, where kappa = p1 is the deformed model's
+    Killing term.
 
     For the autonomous pair this is g + V(4) with the alpha terms; the
     deformation adds c3 V(3) + c2 V(2) and shifts h2 by -p1.  Built once
-    and shared.
+    per model and shared, from a curve taken of the shared L on the build;
+    a flag that is not a bool is `lax_matrices`' `TypeError`.
     """
     coefficients = spectral_curve(deformed).coefficients_in(VarId.LAMBDA)
     killing = p1 if deformed else 0

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import re
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -447,6 +448,24 @@ class TestConfigAndExport:
         # Two waypoints with one float are one waypoint: a segment of length 0.
         with pytest.raises(ValueError, match="consecutive waypoints must be distinct"):
             Path((TimePoint(0.1, 0.0), TimePoint(Fraction(1, 10), 0)))
+
+    @pytest.mark.parametrize(
+        "waypoints",
+        [((0.0, 0.0), (1.0, 0.0)), (ORIGIN, (1.0, 0.0)), [ORIGIN, None]],
+        ids=["pairs", "one-pair", "none"],
+    )
+    def test_a_waypoint_that_is_no_time_point_is_refused(self, waypoints):
+        # Pairs of numbers go through Path.from_pairs; taken as waypoints they
+        # made integrate_pfaffian refuse a path that starts at t0, or fail
+        # with a raw AttributeError.
+        bad = next(point for point in waypoints if not isinstance(point, TimePoint))
+        with pytest.raises(TypeError, match=rf"a waypoint must be a TimePoint, got {re.escape(repr(bad))};"):
+            Path(waypoints)
+
+    def test_waypoints_are_stored_as_a_tuple(self):
+        listed = Path([ORIGIN, TimePoint(1, 0)])
+        assert listed.waypoints == (ORIGIN, TimePoint(1.0, 0.0))
+        assert hash(listed) == hash(Path.from_pairs([(0, 0), (1, 0)]))
 
     def test_numbers_are_stored_as_the_floats_the_kernels_use(self):
         state, t = PhaseState(1, 1, 0, 0), TimePoint(0, 0)

@@ -1,12 +1,14 @@
 """Model objects: potentials, Hamiltonians, vector fields, Lax matrices."""
 
+import contextlib
+import re
 import sys
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhlax import model
+from hhlax import dynamics, model
 from hhlax.algebra import DivisionByZero, LaurentPoly, N_VARS, PolyMatrix2, Rational, VarId, poisson_bracket
 from hhlax.model import (
     HamiltonianSet,
@@ -407,7 +409,7 @@ class TestOneCurve:
 
     @pytest.mark.parametrize("deformed", [False, True])
     def test_model_objects_are_built_once(self, deformed):
-        assert spectral_curve(deformed) is spectral_curve(deformed)
+        assert spectral_curve(deformed) == lax_matrices(deformed).L.det()
         assert hamiltonians(deformed) is hamiltonians(deformed)
         assert lax_matrices(deformed) is lax_matrices(deformed)
 
@@ -426,6 +428,67 @@ class TestOneCurve:
         monkeypatch.setattr(model, "_A", p1 * lam + x2 * p2)
         h1, h2 = self._pair(model._lax(2 * lam**5 + HALF * alpha).det())
         assert not poisson_bracket(h1, h2).is_zero
+
+
+def _model_flag_calls():
+    # Every entry point that takes the model flag, as a call of the flag.
+    state, t = dynamics.PhaseState(1, 1, 0, 0), dynamics.TimePoint(0, 0)
+    path = dynamics.Path((t, dynamics.TimePoint(0.01, 0)))
+    return {
+        "lax_matrices": lax_matrices,
+        "spectral_curve": spectral_curve,
+        "hamiltonians": hamiltonians,
+        "snapshot": lambda flag: dynamics.snapshot(flag, state, t),
+        "flow_rhs": lambda flag: dynamics.flow_rhs(flag, 1, state, t, 0.0),
+        "eigenvalue_samples": lambda flag: dynamics.eigenvalue_samples(flag, state, t, 0.0, (0.5,)),
+        "integrate_pfaffian": lambda flag: dynamics.integrate_pfaffian(state, t, path, deformed=flag),
+    }
+
+
+class TestModelFlag:
+    """`deformed` is the bool that picks a model, passed by position; each
+    model has one entry in each model cache."""
+
+    NOT_BOOLS = ["false", 1, 0.0, None, 2]
+
+    @pytest.mark.parametrize("name", list(_model_flag_calls()))
+    @pytest.mark.parametrize("flag", NOT_BOOLS, ids=repr)
+    def test_a_flag_that_is_no_bool_is_refused_warm(self, name, flag):
+        # Both bool entries are warm, and 1, 0.0 compare equal to them.
+        call = _model_flag_calls()[name]
+        for deformed in (False, True):
+            call(deformed)
+        with pytest.raises(TypeError, match=rf"^model flag must be a bool, got {re.escape(repr(flag))}$"):
+            call(flag)
+
+    def test_the_caches_hold_one_entry_per_model(self):
+        for call in _model_flag_calls().values():
+            for flag in (False, True, *self.NOT_BOOLS):
+                with contextlib.suppress(TypeError):
+                    call(flag)
+        for function in (lax_matrices, spectral_curve, hamiltonians):
+            for call in (function, lambda: function(deformed=False)):
+                with pytest.raises(TypeError):
+                    call()
+        assert lax_matrices.cache_info().currsize <= 2
+        assert hamiltonians.cache_info().currsize <= 2
+        assert not hasattr(spectral_curve, "cache_info")
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_a_cold_rebuild_takes_det_l_afresh(self, deformed, child_python):
+        # The curve is not cached, so rebuilding the pair after its cache is
+        # cleared takes det L once more, as a cold timing of it must.
+        code = (
+            "from hhlax import model\n"
+            "from hhlax.algebra import PolyMatrix2\n"
+            f"model.hamiltonians({deformed})\n"
+            "model.hamiltonians.cache_clear()\n"
+            "calls, det = [], PolyMatrix2.det\n"
+            "PolyMatrix2.det = lambda self: calls.append(self) or det(self)\n"
+            f"model.hamiltonians({deformed})\n"
+            f"print(len(calls), calls[0] is model.lax_matrices({deformed}).L)\n"
+        )
+        assert child_python(code).split() == ["1", "True"]
 
 
 def _at(entry: LaurentPoly, at_mu: bool = False) -> dict:
