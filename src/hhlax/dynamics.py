@@ -13,12 +13,14 @@ pair, generated by `hhlax.kernels` from their coefficients once per process,
 when the first integration asks for them.  Each stage makes one call to a
 generated right-hand side: the field itself for an autonomous flow, and for
 a Pfaffian path segment a closure with both fields written out inside it.
-The diagnostics row is generated as well.  The runtime value of alpha is
-folded exactly into the polynomials beforehand.  The right-hand sides of
-one (model, alpha) and the diagnostics row of one (model, alpha, lambdas)
-are compiled when first asked for, each kept in a cache of at most 64
-entries, so a snapshot compiles no stepper and a sweep over alpha runs in
-bounded memory.  The generated code refuses the x2 = 0 singular set
+The diagnostics row is generated as well.  `hhlax.kernels` folds the
+runtime value of alpha exactly into the model polynomials as it generates
+them, and refuses an alpha whose folded coefficients no float can hold;
+this module only caches what it compiles.  The right-hand sides of one
+(model, alpha) and the diagnostics row of one (model, alpha, lambdas) are
+compiled when first asked for, each kept in a cache of at most 64 entries,
+so a snapshot compiles no stepper and a sweep over alpha runs in bounded
+memory.  The generated code refuses the x2 = 0 singular set
 itself.  A run keeps no shared mutable state, so independent integrations
 may proceed in parallel.
 
@@ -26,7 +28,9 @@ Bad input is a `ValueError` raised where the value is made: `PhaseState`,
 `TimePoint` and `IntegratorConfig` check that each number is finite and then
 store it as the float the kernels use, so the functions below neither check
 nor convert a number again (a raw alpha goes through `IntegratorConfig`);
-`check_reparametrization_numeric` checks its mu samples itself.  A number
+`check_reparametrization_numeric` checks its mu samples itself.  A state
+or a time point that is not a `PhaseState` or a `TimePoint` is a
+`TypeError` that names it.  A number
 becomes a float where it is checked, so every cell of a trajectory row is a
 float and two lambda samples are distinct exactly when their floats are.
 """
@@ -34,15 +38,12 @@ float and two lambda samples are distinct exactly when their floats are.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import repeat
 from operator import sub
 from typing import Callable, Iterable, Sequence
 
-from .algebra import LaurentPoly, VarId
 from .kernels import (
     NonFiniteState, SingularState, StepSizeUnderflow, _finite_floats, _is_finite, _shown,
     compile_diagnostics, compile_flows, compile_polys, compile_steppers,
@@ -92,6 +93,14 @@ def _store_floats(what: str, point) -> None:
     """Check every field of the frozen `point` and store it as its float.
     A frozen dataclass refuses setattr, so the floats go into `vars(point)`."""
     vars(point).update(zip(list(vars(point)), _finite_floats(what, point, vars(point).values())))
+
+
+def _floats(what: str, value, kind: type) -> tuple[float, ...]:
+    """The floats of `value`, a `PhaseState` or `TimePoint` as `kind` says;
+    anything else is a TypeError that names `what` and `value`."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return tuple(vars(value).values())
 
 
 def _checked_duration(duration: float) -> float:
@@ -321,36 +330,19 @@ Segment = Callable[[float, float, float, float], Rhs]
 Diagnostics = Callable[..., list]
 
 
-def _fold(alpha: float, polys: Iterable[LaurentPoly]) -> list[LaurentPoly]:
-    # Fraction(float) is exact, so folding loses nothing and alpha = 0
-    # removes the singular terms, and with them the generated guard.
-    value = Fraction(alpha)
-    return [p.substitute_rational(VarId.ALPHA, value) for p in polys]
-
-
-@contextmanager
-def _float_range(alpha: float):
-    try:
-        yield
-    except OverflowError as exc:  # a folded coefficient beyond the float range
-        raise ValueError(f"alpha = {alpha!r} is too large for the float kernels") from exc
-
-
 @lru_cache(maxsize=64, typed=True)
 def _flows(deformed: bool, alpha: float) -> tuple[Flow, Flow, Segment]:
     """The generated right-hand sides of Y_1, Y_2 and of a path segment of
-    one model, with alpha (a float) folded in."""
-    with _float_range(alpha):
-        return compile_flows(*(_fold(alpha, field.components) for field in hamiltonians(deformed).fields))
+    one model and alpha (a float)."""
+    return compile_flows(*(field.components for field in hamiltonians(deformed).fields), alpha)
 
 
 @lru_cache(maxsize=64, typed=True)
 def _diagnostics(deformed: bool, alpha: float, lambdas: tuple[float, ...]) -> Diagnostics:
     """The generated diagnostics row of one model, alpha and set of lambda
-    samples (floats), with alpha folded in."""
+    samples (floats)."""
     hams = hamiltonians(deformed)
-    with _float_range(alpha):
-        return compile_diagnostics(*_fold(alpha, (hams.h1, hams.h2, spectral_curve(deformed))), lambdas)
+    return compile_diagnostics(hams.h1, hams.h2, spectral_curve(deformed), alpha, lambdas)
 
 
 def flow_rhs(
@@ -363,7 +355,7 @@ def flow_rhs(
     """
     index = _flow_index(k)
     flow = _flows(deformed, IntegratorConfig(alpha=alpha).alpha)[index]
-    return flow(0.0, state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
+    return flow(0.0, *_floats("state", state, PhaseState), *_floats("t", t, TimePoint))
 
 
 # RK4 and DP45, generated when the first integration asks for them and then
@@ -395,7 +387,7 @@ def snapshot(
 ) -> Trajectory:
     """Single-sample trajectory: the diagnostics of one (state, t) point."""
     diag = _diagnostics(deformed, cfg.alpha, cfg.lambdas)
-    return Trajectory([diag(0.0, t.t1, t.t2, tuple(vars(state).values()))], cfg.lambdas)
+    return Trajectory([diag(0.0, *_floats("t", t, TimePoint), _floats("state", state, PhaseState))], cfg.lambdas)
 
 
 def integrate_autonomous(
@@ -407,7 +399,7 @@ def integrate_autonomous(
     accepted step; for the autonomous system all of them are conserved.
     """
     index = _flow_index(k)
-    y0, duration = tuple(vars(state0).values()), _checked_duration(duration)
+    y0, duration = _floats("state0", state0, PhaseState), _checked_duration(duration)
     _check_step_budget(duration, cfg.max_step)
     flow = _flows(False, cfg.alpha)[index]
     diag = _diagnostics(False, cfg.alpha, cfg.lambdas)
@@ -429,9 +421,9 @@ def integrate_pfaffian(
     autonomous fields are used instead (their flows commute, so the same
     path independence holds).
     """
+    y, (t1, t2) = _floats("state0", state0, PhaseState), _floats("t0", t0, TimePoint)
     if path.waypoints[0] != t0:
         raise ValueError("path must start at t0")
-    y = tuple(vars(state0).values())
     # The budget bounds the whole path, so no number of segments asks for
     # more steps than one span may take.
     _check_step_budget(sum(math.hypot(b.t1 - a.t1, b.t2 - a.t2) for a, b in path.segments()), cfg.max_step)
@@ -439,7 +431,7 @@ def integrate_pfaffian(
     diag = _diagnostics(deformed, cfg.alpha, cfg.lambdas)
 
     s_offset = 0.0
-    raw: list[tuple[float, float, float, State4]] = [(0.0, t0.t1, t0.t2, y)]
+    raw: list[tuple[float, float, float, State4]] = [(0.0, t1, t2, y)]
     for start, stop in path.segments():
         d1, d2 = stop.t1 - start.t1, stop.t2 - start.t2
         length = math.hypot(d1, d2)
@@ -460,8 +452,8 @@ def check_flow_commutation_numeric(
     one_then_two = integrate_autonomous(2, first, u, cfg).samples[-1].state
     second = integrate_autonomous(2, state0, u, cfg).samples[-1].state
     two_then_one = integrate_autonomous(1, second, s, cfg).samples[-1].state
-    a, b = one_then_two, two_then_one
-    return max(abs(a.x1 - b.x1), abs(a.x2 - b.x2), abs(a.p1 - b.p1), abs(a.p2 - b.p2))
+    ends = (_floats("state", end, PhaseState) for end in (one_then_two, two_then_one))
+    return max(map(abs, map(sub, *ends)))
 
 
 def eigenvalue_samples(
@@ -498,7 +490,7 @@ def check_reparametrization_numeric(
     target_matrix = isomonodromy_deformation_term(u_matrix)
     # U_k is free of alpha and of negative powers, so its kernel has no guard.
     kernel = compile_polys([*u_matrix.entries(), *target_matrix.entries()])
-    evaluate = partial(kernel, state.x1, state.x2, state.p1, state.p2, t.t1, t.t2)
+    evaluate = partial(kernel, *_floats("state", state, PhaseState), *_floats("t", t, TimePoint))
     worst = 0.0
     for mu in mu_samples:
         try:

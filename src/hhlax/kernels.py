@@ -21,9 +21,16 @@ negative power in any polynomial of the table, the function starts with
 
 so no evaluation divides by a value within 1e-12 of zero.  Every guard tests
 a variable of the function, never a literal: `compile_diagnostics` refuses a
-det L with a negative power of lambda, whose samples are literals.  Once
-alpha is folded in, the deformation's `x2^-2`/`x2^-3` terms are the only
-negative powers, and alpha = 0 removes them together with the guard.
+det L with a negative power of lambda, whose samples are literals.
+
+Alpha is folded here.  `compile_flows` and `compile_diagnostics` take the
+model polynomials with alpha still a variable, and the runtime alpha as a
+finite float.  Each folds that float exactly into its polynomials
+(`Fraction(alpha)` is exact) before it writes any source, so the
+deformation's `x2^-2`/`x2^-3` terms are the only negative powers, and
+alpha = 0 removes them together with the guard.  A folded coefficient that
+no float can hold is refused where its literal is written, in `_literal`:
+`ValueError: alpha = ... is too large for the float kernels`.
 
 `compile_polys` compiles one stack to `evaluate(x1, x2, p1, p2, t1, t2,
 lam, alpha)`, which returns one float per polynomial;
@@ -56,7 +63,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-from .algebra import LaurentPoly, VarId
+from .algebra import LaurentPoly, Rational, VarId
 
 __all__ = [
     "NonFiniteState", "SingularState", "StepSizeUnderflow",
@@ -117,6 +124,25 @@ def _finite_floats(what: str, value, numbers: Iterable) -> tuple[float, ...]:
     return tuple(map(float, numbers))
 
 
+def _fold(alpha: float, polys: Iterable[LaurentPoly]) -> list[LaurentPoly]:
+    """`polys` with the finite float `alpha` folded in exactly."""
+    value = Rational(*_finite_floats("alpha", alpha, [alpha]))
+    return [p.substitute_rational(VarId.ALPHA, value) for p in polys]
+
+
+def _literal(coeff: Rational, alpha: float | None) -> str:
+    """The float literal of `coeff`, a coefficient with `alpha` folded in
+    (None: with none folded in).  The one float-range check of the fold: a
+    folded coefficient that no float can hold refuses alpha.  An unfolded
+    one keeps the OverflowError of `float`."""
+    try:
+        return repr(float(coeff))
+    except OverflowError as exc:
+        if alpha is None:
+            raise
+        raise ValueError(f"alpha = {alpha!r} is too large for the float kernels") from exc
+
+
 def _chain(mono: Sequence[int], names: Sequence[str]) -> str:
     """`*x1*p2*p2`: one multiplication or division per unit of exponent.
     A lambda sample 1.0 is left out, since a product or quotient by 1.0 is
@@ -145,8 +171,8 @@ def _sum_source(target: str, terms: Sequence[str]) -> list[str]:
     return lines
 
 
-def _poly_source(target: str, poly: LaurentPoly, names: Sequence[str]) -> list[str]:
-    terms = [_term(repr(float(coeff)), _chain(mono, names)) for mono, coeff in poly.sorted_terms()]
+def _poly_source(target: str, poly: LaurentPoly, names: Sequence[str], alpha: float | None) -> list[str]:
+    terms = [_term(_literal(coeff, alpha), _chain(mono, names)) for mono, coeff in poly.sorted_terms()]
     return _sum_source(target, terms)
 
 
@@ -160,11 +186,11 @@ def _guard_source(polys: Sequence[LaurentPoly]) -> list[str]:
     return lines
 
 
-def _stack_source(polys: Sequence[LaurentPoly], prefix: str) -> list[str]:
+def _stack_source(polys: Sequence[LaurentPoly], prefix: str, alpha: float | None) -> list[str]:
     """The guard of the stack, then `{prefix}i = ...` for polynomial i."""
     lines = _guard_source(polys)
     for i, poly in enumerate(polys):
-        lines += _poly_source(f"{prefix}{i}", poly, _ARGUMENTS)
+        lines += _poly_source(f"{prefix}{i}", poly, _ARGUMENTS, alpha)
     return lines
 
 
@@ -183,17 +209,19 @@ def compile_polys(polys: Sequence[LaurentPoly]) -> Callable[..., tuple]:
     per polynomial.  A variable at a negative power within 1e-12 of zero
     raises SingularState.
     """
-    lines = [f"def evaluate({', '.join(_ARGUMENTS)}):", *_stack_source(polys, "r")]
+    lines = [f"def evaluate({', '.join(_ARGUMENTS)}):", *_stack_source(polys, "r", None)]
     lines.append(f"    return ({''.join(f'r{i}, ' for i in range(len(polys)))})")
-    (evaluate,) = _compile(lines, "evaluate")
-    return evaluate
+    return _compile(lines, "evaluate")[0]
 
 
 def compile_flows(
-    field1: Sequence[LaurentPoly], field2: Sequence[LaurentPoly]
+    field1: Sequence[LaurentPoly], field2: Sequence[LaurentPoly], alpha: float
 ) -> tuple[Callable[..., tuple], Callable[..., tuple], Callable[..., Callable]]:
     """The stepper right-hand sides of two vector fields (dx1, dx2, dp1, dp2)
-    in x1, x2, p1, p2, t1 and t2, compiled together.
+    in x1, x2, p1, p2, t1, t2 and alpha, compiled together with the finite
+    float `alpha` folded in exactly.  A field that depends on lambda is
+    refused with ValueError, and so is an alpha that makes a folded
+    coefficient too large for a float.
 
     Returns `(flow1, flow2, segment)`:
 
@@ -204,9 +232,9 @@ def compile_flows(
       `r = 0.0; r += w1*f; r += w2*g`.  A zero weight skips its field, and
       with it that field's singular-set guard.
     """
-    if any(p.depends_on(v) for p in (*field1, *field2) for v in (VarId.LAMBDA, VarId.ALPHA)):
-        raise ValueError("a stepper field depends on x and t only; fold alpha first")
-    bodies = [_stack_source(polys, "f") for polys in (field1, field2)]
+    if any(p.depends_on(VarId.LAMBDA) for p in (*field1, *field2)):
+        raise ValueError("a stepper field depends on x, t and alpha only, not on lambda")
+    bodies = [_stack_source(_fold(alpha, polys), "f", alpha) for polys in (field1, field2)]
     lines = []
     for k, body in enumerate(bodies, 1):
         lines += [f"def flow{k}(s, x1, x2, p1, p2, t1=0.0, t2=0.0):", *body, "    return (f0, f1, f2, f3)"]
@@ -225,7 +253,7 @@ def compile_flows(
     return _compile(lines, "flow1", "flow2", "segment")
 
 
-def _det_source(det: LaurentPoly, lams: Sequence[str]) -> tuple[list[str], list[list[str]]]:
+def _det_source(det: LaurentPoly, lams: Sequence[str], alpha: float | None) -> tuple[list[str], list[list[str]]]:
     """det L once per lambda sample, sharing each term's lambda-free prefix.
 
     Every term is a chain `c*x1*...*lam*lam` with lam last, so the prefix
@@ -239,7 +267,7 @@ def _det_source(det: LaurentPoly, lams: Sequence[str]) -> tuple[list[str], list[
     lam_index = VarId.LAMBDA
     terms = []
     for mono, coeff in det.sorted_terms():
-        prefix = _term(repr(float(coeff)), _chain(mono[:lam_index], _ARGUMENTS))
+        prefix = _term(_literal(coeff, alpha), _chain(mono[:lam_index], _ARGUMENTS))
         if any(mono[:lam_index]):  # a bare coefficient stays a literal
             prefix = prefixes.setdefault(prefix, f"q{len(prefixes)}")
         terms.append((prefix, mono[lam_index]))
@@ -261,43 +289,42 @@ _REAL_SQRT_MIN = 1e-300
 
 
 def compile_diagnostics(
-    h1: LaurentPoly, h2: LaurentPoly, det: LaurentPoly, lambdas: Sequence[float]
+    h1: LaurentPoly, h2: LaurentPoly, det: LaurentPoly, alpha: float, lambdas: Sequence[float]
 ) -> Callable[..., list]:
     """`diag(s, t1, t2, (x1, x2, p1, p2))` -> the row `[s, t1, t2, x1, x2,
     p1, p2, h1, h2, re_0, im_0, re_1, im_1, ...]` with `re_j + i im_j =
-    sqrt(-det L(lambdas[j]))`, for polynomials with alpha folded in.  The
+    sqrt(-det L(lambdas[j]))`, for polynomials in x, t and alpha (det L also
+    in lambda), with the finite float `alpha` folded in exactly.  The
     singular set of all three raises SingularState, and an h1, h2 or
     det L(lambda_j) that is not finite raises NonFiniteState.
 
     The finite lambda samples are written into the function as literals, so
-    det L must have no negative power of lambda.  A polynomial that still
-    depends on alpha, or an h1 or h2 that depends on lambda, is refused with
-    ValueError, as `compile_flows` refuses such a field.
+    det L must have no negative power of lambda.  An h1 or h2 that depends
+    on lambda is refused with ValueError, as `compile_flows` refuses such a
+    field, and so is an alpha that makes a folded coefficient too large for
+    a float.
     det L is real, so each eigenvalue cell pair is `(sqrt(-d), 0.0)` or
     `(0.0, sqrt(d))`, computed with `math.sqrt` unless |d| <= 1e-300.
     """
     lambdas = _finite_floats("lambda samples", tuple(lambdas), lambdas)
-    if any(p.depends_on(VarId.ALPHA) for p in (h1, h2, det)) or any(
-        p.depends_on(VarId.LAMBDA) for p in (h1, h2)
-    ):
-        raise ValueError("h1 and h2 depend on x and t only, det L also on lambda; fold alpha first")
+    h1, h2, det = _fold(alpha, (h1, h2, det))
+    if h1.depends_on(VarId.LAMBDA) or h2.depends_on(VarId.LAMBDA):
+        raise ValueError("h1 and h2 depend on x, t and alpha only, not on lambda")
     if det.degree_range(VarId.LAMBDA)[0] < 0:
         raise ValueError("det L has a negative power of lambda; the samples need a polynomial in lambda")
     lams = list(map(repr, lambdas))
     # The generated module imports cmath itself, so that processes that
     # never build diagnostics (the exact checks) do not load it.
-    lines = ["from cmath import sqrt as csqrt", "from math import isfinite, sqrt"]
-    lines.append("def diag(s, t1, t2, y):")
-    lines.append("    x1, x2, p1, p2 = y")
-    lines += _guard_source([h1, h2, det])
-    lines += _poly_source("h1", h1, _ARGUMENTS) + _poly_source("h2", h2, _ARGUMENTS)
+    lines = ["from cmath import sqrt as csqrt", "from math import isfinite, sqrt", "def diag(s, t1, t2, y):"]
+    lines += ["    x1, x2, p1, p2 = y", *_guard_source([h1, h2, det])]
+    lines += _poly_source("h1", h1, _ARGUMENTS, alpha) + _poly_source("h2", h2, _ARGUMENTS, alpha)
     lines += [
         "    if not (isfinite(h1) and isfinite(h2)):",
         "        raise NonFiniteState(f'h1 = {h1!r}, h2 = {h2!r} are not finite at s = {s!r}')",
     ]
     row = "s, t1, t2, x1, x2, p1, p2, h1, h2"
     if lams:
-        shared, per_lambda = _det_source(det, lams)
+        shared, per_lambda = _det_source(det, lams, alpha)
         lines += shared
         for j, (lam, det_lines) in enumerate(zip(lams, per_lambda)):
             lines += det_lines + [
@@ -316,8 +343,7 @@ def compile_diagnostics(
             ]
             row += f", re{j}, im{j}"
     lines.append(f"    return [{row}]")
-    (diag,) = _compile(lines, "diag")
-    return diag
+    return _compile(lines, "diag")[0]
 
 
 # -- steppers ------------------------------------------------------------

@@ -52,12 +52,14 @@ def substitute_numeric(f: LaurentPoly, point: Mapping[VarId, float]) -> float:
     return math.fsum(contributions)
 
 
-def reference_diagnostics(h1, h2, det, lambdas):
+def reference_diagnostics(h1, h2, det, alpha, lambdas):
     """`row(s, t1, t2, y)` -> [s, t1, t2, x1, x2, p1, p2, h1, h2, re_0, im_0, ...]
     from two separate kernels, one for (h1, h2) and one for det L evaluated
     once per lambda, and `cmath.sqrt`: the diagnostics as they were computed
-    before one generated function produced the whole row.  The polynomials
-    have alpha folded in."""
+    before one generated function produced the whole row.  The float alpha
+    is folded into the polynomials here, by exact substitution."""
+    value = Fraction(alpha)
+    h1, h2, det = (poly.substitute_rational(VarId.ALPHA, value) for poly in (h1, h2, det))
     hams_kernel = compile_polys([h1, h2])
     det_kernel = compile_polys([det])
 

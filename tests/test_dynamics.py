@@ -335,9 +335,7 @@ class TestSamplesView:
     @staticmethod
     def expected_samples(trajectory, cfg):
         hams = hamiltonians(True)
-        polys = [hams.h1, hams.h2, lax_matrices(True).L.det()]
-        folded = [poly.substitute_rational(VarId.ALPHA, Fraction(cfg.alpha)) for poly in polys]
-        reference = reference_diagnostics(*folded, cfg.lambdas)
+        reference = reference_diagnostics(hams.h1, hams.h2, lax_matrices(True).L.det(), cfg.alpha, cfg.lambdas)
         samples = []
         for s, t1, t2, *y in (row[:7] for row in trajectory.rows()):
             row = reference(s, t1, t2, tuple(y))
@@ -604,6 +602,63 @@ def test_non_finite_input_is_a_value_error(entry, bad, monkeypatch):
     with pytest.raises(ValueError, match="must be finite") as refused:
         ENTRY_POINTS[entry](bad)
     assert len(str(refused.value)) < 100
+
+
+# Every entry point that takes a PhaseState or a TimePoint, given a plain
+# tuple for one of them: (parameter, expected type, call).
+_STATE_TUPLE, _TIME_TUPLE = (1.0, 1.0, 0.0, 0.0), (0.0, 0.0)
+VALUE_TYPE_ENTRY_POINTS = {
+    "snapshot.state": ("state", PhaseState, lambda: snapshot(False, _STATE_TUPLE, ORIGIN)),
+    "snapshot.t": ("t", TimePoint, lambda: snapshot(True, REFERENCE, _TIME_TUPLE)),
+    "flow_rhs.state": ("state", PhaseState, lambda: flow_rhs(False, 1, _STATE_TUPLE, ORIGIN, 0.0)),
+    "flow_rhs.t": ("t", TimePoint, lambda: flow_rhs(True, 2, REFERENCE, _TIME_TUPLE, 0.05)),
+    "integrate_autonomous.state0": ("state0", PhaseState, lambda: integrate_autonomous(1, _STATE_TUPLE, 0.1)),
+    "integrate_pfaffian.state0": ("state0", PhaseState, lambda: integrate_pfaffian(_STATE_TUPLE, ORIGIN, _LOOP)),
+    "integrate_pfaffian.t0": ("t0", TimePoint, lambda: integrate_pfaffian(REFERENCE, _TIME_TUPLE, _LOOP)),
+    "eigenvalue_samples.state": (
+        "state", PhaseState, lambda: eigenvalue_samples(False, _STATE_TUPLE, ORIGIN, 0.0, [1.0])
+    ),
+    "eigenvalue_samples.t": ("t", TimePoint, lambda: eigenvalue_samples(True, REFERENCE, _TIME_TUPLE, 0.0, [1.0])),
+    "check_flow_commutation_numeric.state0": (
+        "state0", PhaseState, lambda: check_flow_commutation_numeric(_STATE_TUPLE, 0.1, 0.1)
+    ),
+    "check_reparametrization_numeric.state": (
+        "state", PhaseState, lambda: check_reparametrization_numeric(1, _STATE_TUPLE, ORIGIN, [0.1])
+    ),
+    "check_reparametrization_numeric.t": (
+        "t", TimePoint, lambda: check_reparametrization_numeric(1, REFERENCE, _TIME_TUPLE, [0.1])
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(VALUE_TYPE_ENTRY_POINTS))
+def test_a_tuple_for_a_state_or_a_time_point_is_a_type_error(entry):
+    # A tuple is refused by name, not by a missing attribute; a t0 tuple
+    # equal to the path's first waypoint is refused as such, not as a path
+    # that fails to start there.
+    name, kind, call = VALUE_TYPE_ENTRY_POINTS[entry]
+    value = _STATE_TUPLE if kind is PhaseState else _TIME_TUPLE
+    with pytest.raises(TypeError, match=re.escape(f"{name} must be a {kind.__name__}, got {value!r}") + "$"):
+        call()
+
+
+HUGE_ALPHA = 1.7e308
+# The entry points that compile a model at one alpha.
+HUGE_ALPHA_ENTRY_POINTS = {
+    "integrate_autonomous": lambda: integrate_autonomous(1, REFERENCE, 0.1, IntegratorConfig(alpha=HUGE_ALPHA)),
+    "integrate_pfaffian": lambda: integrate_pfaffian(REFERENCE, ORIGIN, _LOOP, IntegratorConfig(alpha=HUGE_ALPHA)),
+    "snapshot": lambda: snapshot(True, REFERENCE, ORIGIN, IntegratorConfig(alpha=HUGE_ALPHA)),
+    "flow_rhs": lambda: flow_rhs(False, 2, REFERENCE, ORIGIN, HUGE_ALPHA),
+    "eigenvalue_samples": lambda: eigenvalue_samples(False, REFERENCE, ORIGIN, HUGE_ALPHA, [1.0]),
+}
+
+
+@pytest.mark.parametrize("entry", list(HUGE_ALPHA_ENTRY_POINTS))
+def test_an_alpha_too_large_for_the_float_kernels_is_a_value_error(entry):
+    # The alpha is finite, but a coefficient with it folded in is not.
+    message = "alpha = 1.7e+308 is too large for the float kernels"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        HUGE_ALPHA_ENTRY_POINTS[entry]()
 
 
 @pytest.mark.parametrize("entry", [entry for entry in ENTRY_POINTS if entry[0].isupper()])

@@ -104,6 +104,24 @@ def test_generated_code_matches_interpreter_bit_for_bit(polys):
         assert _bits(evaluate(*vals)) == _bits(interpret(polys, vals))
 
 
+def test_a_sum_of_3000_terms_is_split_and_matches_the_interpreter_bit_for_bit():
+    # CPython's bytecode compiler refuses a left-associated sum of 3000 terms
+    # in one expression (RecursionError), so the sum is written 64 terms a
+    # statement, each statement adding to the running value.
+    local = random.Random(3000)
+    terms = {}
+    while len(terms) < 3000:
+        mono = tuple(local.randint(-3, 3) for _ in range(8))
+        terms[mono] = Rational(local.choice([-1, 1]) * local.randint(1, 20), local.randint(1, 7))
+    poly = LaurentPoly(terms)
+    assert len(poly) == 3000
+    assert len(kernels._poly_source("r", poly, kernels._ARGUMENTS, None)) == math.ceil(3000 / kernels._TERMS_PER_LINE)
+    evaluate = compile_polys([poly])
+    for _ in range(20):
+        vals = [local.choice([-1.0, 1.0]) * local.uniform(0.5, 2.0) for _ in range(8)]
+        assert _bits(evaluate(*vals)) == _bits(interpret([poly], vals))
+
+
 def test_matches_exact_substitution():
     polys = [hamiltonians(False).h1, hamiltonians(False).h2, lax_matrices(False).L.det()]
     polys += [hamiltonians(True).h1, hamiltonians(True).h2, lax_matrices(True).L.det()]
@@ -152,13 +170,14 @@ def test_alpha_zero_table_has_no_guard():
 SEGMENT_WEIGHTS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.6, 0.8), (0.0, -1.0), (-0.6, -0.8)]
 
 
-def _flows(deformed: bool, alpha: float):
+def _fields(deformed: bool) -> list[tuple[LaurentPoly, ...]]:
+    """Y_1 and Y_2 of one model, alpha still a variable."""
     hams = hamiltonians(deformed)
-    fields = [
-        [c.substitute_rational(VarId.ALPHA, Fraction(alpha)) for c in hamiltonian_vector_field(h).components]
-        for h in (hams.h1, hams.h2)
-    ]
-    return compile_flows(*fields)
+    return [hamiltonian_vector_field(h).components for h in (hams.h1, hams.h2)]
+
+
+def _flows(deformed: bool, alpha: float):
+    return compile_flows(*_fields(deformed), alpha)
 
 
 def _rhs_points(alpha: float) -> list[tuple[float, ...]]:
@@ -218,20 +237,42 @@ def test_stepper_rhs_refuse_the_singular_set(deformed):
                 rhs(0.3, 1.0, x2, 0.5, -0.5)
 
 
-def test_stepper_fields_must_have_alpha_folded():
-    hams = hamiltonians(True)
-    fields = [hamiltonian_vector_field(h).components for h in (hams.h1, hams.h2)]
-    with pytest.raises(ValueError, match="fold alpha first"):
-        compile_flows(*fields)
-    # The diagnostics row refuses the same: h1, h2 or det L with alpha left
-    # in, and an h1 or h2 with lambda in it.
-    autonomous = hamiltonians(False)
-    with pytest.raises(ValueError, match="fold alpha first"):
-        compile_diagnostics(autonomous.h1, autonomous.h2, lax_matrices(False).L.det(), (0.5,))
-    h1, h2, det = _diagnostics_polys(False, 0.0)
-    lam = LaurentPoly.variable(VarId.LAMBDA)
-    with pytest.raises(ValueError, match="fold alpha first"):
-        compile_diagnostics(h1 + lam, h2, det, (0.5,))
+def test_stepper_fields_and_hamiltonians_must_not_depend_on_lambda():
+    # Alpha is folded in by the compiler; lambda has no value in a stepper
+    # field or in h1 and h2, so a field or an h1 with lambda in it is refused.
+    field1, field2 = _fields(True)
+    with pytest.raises(ValueError, match="a stepper field depends on x, t and alpha only, not on lambda"):
+        compile_flows([field1[0] + lam, *field1[1:]], field2, 0.05)
+    h1, h2, det = _diagnostics_polys(False)
+    with pytest.raises(ValueError, match="h1 and h2 depend on x, t and alpha only, not on lambda"):
+        compile_diagnostics(h1 + lam, h2, det, 0.0, (0.5,))
+
+
+HUGE_ALPHA = "alpha = 1.7e+308 is too large for the float kernels"
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+def test_an_alpha_whose_folded_coefficients_no_float_holds_is_refused(deformed):
+    # 2 alpha, a coefficient of both fields, overflows a float; the literal
+    # that would hold it refuses alpha.
+    with pytest.raises(ValueError, match=re.escape(HUGE_ALPHA) + "$") as refused:
+        compile_flows(*_fields(deformed), 1.7e308)
+    assert isinstance(refused.value.__cause__, OverflowError)
+    with pytest.raises(ValueError, match=re.escape(HUGE_ALPHA) + "$"):
+        compile_diagnostics(*_diagnostics_polys(deformed), 1.7e308, DEFAULT_LAMBDAS)
+    # alpha = 1e300 folds to coefficients a float holds.
+    compile_flows(*_fields(deformed), 1e300)
+    compile_diagnostics(*_diagnostics_polys(deformed), 1e300, DEFAULT_LAMBDAS)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="huge-int")])
+def test_a_non_finite_alpha_is_refused(bad):
+    shown = "an int of 1329 bits" if isinstance(bad, int) else repr(bad)
+    message = re.escape(f"alpha must be finite, got {shown}") + "$"
+    with pytest.raises(ValueError, match=message):
+        compile_flows(*_fields(True), bad)
+    with pytest.raises(ValueError, match=message):
+        compile_diagnostics(*_diagnostics_polys(True), bad, DEFAULT_LAMBDAS)
 
 
 # -- the diagnostics row ---------------------------------------------------
@@ -240,20 +281,19 @@ DEFAULT_LAMBDAS = (0.5, 1.0, 2.0)
 MANY_LAMBDAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
-def _diagnostics_polys(deformed: bool, alpha: float) -> list[LaurentPoly]:
-    """h1, h2 and det L of one model with alpha folded in."""
+def _diagnostics_polys(deformed: bool) -> list[LaurentPoly]:
+    """h1, h2 and det L of one model, alpha still a variable."""
     hams = hamiltonians(deformed)
-    polys = [hams.h1, hams.h2, lax_matrices(deformed).L.det()]
-    return [poly.substitute_rational(VarId.ALPHA, Fraction(alpha)) for poly in polys]
+    return [hams.h1, hams.h2, lax_matrices(deformed).L.det()]
 
 
 @pytest.mark.parametrize("lambdas", [(), DEFAULT_LAMBDAS, MANY_LAMBDAS], ids=["none", "default", "eight"])
 @pytest.mark.parametrize("alpha", [0.0, 0.05, -0.3])
 @pytest.mark.parametrize("deformed", [False, True])
 def test_diagnostics_row_matches_separate_kernels_bit_for_bit(deformed, alpha, lambdas):
-    polys = _diagnostics_polys(deformed, alpha)
-    diag = compile_diagnostics(*polys, lambdas)
-    reference = reference_diagnostics(*polys, lambdas)
+    polys = _diagnostics_polys(deformed)
+    diag = compile_diagnostics(*polys, alpha, lambdas)
+    reference = reference_diagnostics(*polys, alpha, lambdas)
     points = [
         (rng.uniform(0.0, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), tuple(_random_vals()[:4]))
         for _ in range(40)
@@ -270,7 +310,7 @@ def test_diagnostics_row_matches_separate_kernels_bit_for_bit(deformed, alpha, l
 @pytest.mark.parametrize("x2", [0.0, 1e-13, -1e-13])
 @pytest.mark.parametrize("deformed", [False, True])
 def test_diagnostics_guard_refuses_the_singular_set(deformed, x2, lambdas):
-    diag = compile_diagnostics(*_diagnostics_polys(deformed, 0.05), lambdas)
+    diag = compile_diagnostics(*_diagnostics_polys(deformed), 0.05, lambdas)
     with pytest.raises(SingularState, match=f"x2 = {x2!r} is on the singular set"):
         diag(0.0, 0.0, 0.0, (1.0, x2, 0.0, 0.0))
 
@@ -293,7 +333,7 @@ def test_diagnostics_guard_refuses_the_singular_set(deformed, x2, lambdas):
     ],
 )
 def test_diagnostics_not_finite(lambdas, y, message):
-    diag = compile_diagnostics(*_diagnostics_polys(False, 0.0), lambdas)
+    diag = compile_diagnostics(*_diagnostics_polys(False), 0.0, lambdas)
     with pytest.raises(NonFiniteState, match=message):
         diag(0.0, 0.0, 0.0, y)
 
@@ -323,7 +363,7 @@ def test_eigenvalue_cells_match_cmath_sqrt_bit_for_bit(d):
     # are the same.
     lambdas = (-1.5, 0.0, 0.5)
     zero = LaurentPoly.zero()
-    diag = compile_diagnostics(zero, zero, LaurentPoly.constant(Fraction(d)), lambdas)
+    diag = compile_diagnostics(zero, zero, LaurentPoly.constant(Fraction(d)), 0.0, lambdas)
     root = cmath.sqrt(complex(-d))
     row = diag(0.0, 0.0, 0.0, (1.0, 1.0, 0.0, 0.0))
     assert _bits(row[9:]) == _bits([root.real, root.imag] * len(lambdas))
@@ -334,20 +374,20 @@ def test_diagnostics_refuse_a_non_finite_lambda(bad):
     # The samples become literals of the generated source, so a det L with a
     # negative power of lambda, whose guard would test a literal, is refused.
     # An int no float can hold is named by its bit length, not its digits.
-    h1, h2, det = _diagnostics_polys(False, 0.0)
+    h1, h2, det = _diagnostics_polys(False)
     shown = "an int of 16610 bits" if isinstance(bad, int) else repr((0.5, bad))
     with pytest.raises(ValueError, match=re.escape(f"lambda samples must be finite, got {shown}") + "$"):
-        compile_diagnostics(h1, h2, det, (0.5, bad))
+        compile_diagnostics(h1, h2, det, 0.0, (0.5, bad))
     with pytest.raises(ValueError, match="negative power of lambda"):
-        compile_diagnostics(h1, h2, det + lam**-1, (0.5,))
+        compile_diagnostics(h1, h2, det + lam**-1, 0.0, (0.5,))
 
 
 def test_generated_chains_drop_a_factor_of_one():
     # 1.0*x and x*1.0 are x exactly, so no chain starts with 1.0* and a
     # lambda sample 1.0 adds no factor; a bare 1.0 and a 1.0/x chain stay.
-    source = kernels._poly_source("r", x1 * p2 + 1 + x2**-1 - 2 * x1, kernels._ARGUMENTS)
+    source = kernels._poly_source("r", x1 * p2 + 1 + x2**-1 - 2 * x1, kernels._ARGUMENTS, None)
     assert source == ["    r = 0.0 + 1.0/x2 + 1.0 + -2.0*x1 + x1*p2"]
-    shared, per_lambda = kernels._det_source(x1 * lam**2 - 2 * x1 * lam + lam**3 + 1, ["1.0", "0.5"])
+    shared, per_lambda = kernels._det_source(x1 * lam**2 - 2 * x1 * lam + lam**3 + 1, ["1.0", "0.5"], None)
     assert shared == ["    q0 = -2.0*x1", "    q1 = x1"]
     assert per_lambda == [
         ["    d0 = 0.0 + 1.0 + q0 + q1 + 1.0"],
@@ -360,7 +400,7 @@ def test_dropped_kernels_are_freed_without_a_cyclic_collection():
     # cycle and outlive its last reference until a full collection.
     gc.disable()
     try:
-        diag = compile_diagnostics(*_diagnostics_polys(True, 0.05), DEFAULT_LAMBDAS)
+        diag = compile_diagnostics(*_diagnostics_polys(True), 0.05, DEFAULT_LAMBDAS)
         evaluate = compile_polys(_deformed_polys(Fraction(1, 20)))
         flows = _flows(True, 0.05)
         refs = [weakref.ref(diag), weakref.ref(evaluate), *map(weakref.ref, flows)]
